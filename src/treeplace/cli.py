@@ -34,7 +34,7 @@ from .generator import (
     serialize_dual_role,
     small_corpus_config,
 )
-from .instance import parse_instance, serialize_instance
+from .instance import parse_instance, require_valid, serialize_instance
 from .oracle import DEFAULT_MAX_INTERNAL, brute_force_min
 from .solver import solve_instance
 from .transform import star_to_document, transform_to_star
@@ -209,6 +209,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.fictivize is not None:
         net = parse_dual_role(_read_text(args.fictivize))
         inst = fictivize(net)
+        require_valid(inst)
         _write_text(args.out, serialize_instance(inst))
         return 0
     if args.dual_role:
@@ -264,8 +265,9 @@ def _render_tables(star, table) -> str:
             grid.append(row)
         lines += ["leaf contributions C(v,i)", _layout(grid), ""]
 
+    leaf_set = set(leaf_ids)
     internal_ids = sorted(
-        (n for n in table.nodes() if n not in set(leaf_ids)),
+        (n for n in table.nodes() if n not in leaf_set),
         key=lambda n: (-depth[n], n),
     )
     rng = max(len(table.table(n).c_row) for n in internal_ids)

@@ -244,17 +244,20 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
         node = by_id[vid]
         rows = min(depth[vid], row_limit)
         if node.leaf is not None:
-            leaf = node.leaf
-            if leaf.weight == 0:
+            # leaf_contribution in one walk: the row is the weight up to the
+            # first hop past the qos or through a link narrower than the
+            # weight, and infinite from there on (zero-demand: 0 throughout).
+            weight = node.leaf.weight
+            if weight == 0:
                 crow: list = [0] * (rows + 1)
             else:
-                crow = [leaf.weight]  # empty path at i = 0
-                path_min: int | float = INFINITE
+                reach = min(rows, node.leaf.qos)
                 walker = node
-                for i in range(1, rows + 1):
-                    path_min = min(path_min, walker.bw)  # type: ignore[type-var]
+                cut = 1
+                while cut <= reach and walker.bw >= weight:  # type: ignore[operator]
                     walker = by_id[walker.parent]  # type: ignore[index]
-                    crow.append(leaf_contribution(leaf, i, path_min))
+                    cut += 1
+                crow = [weight] * cut + [INFINITE] * (rows + 1 - cut)
             c_rows[vid] = crow
             e_rows[vid] = [()] * (rows + 1)
             m_values[vid] = 0

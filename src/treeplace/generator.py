@@ -20,8 +20,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, MalformedDocumentError
-from .instance import NetworkInstance, NodeSpec, validate_instance
+from .errors import ConfigError, MalformedDocumentError, StructureError
+from .instance import NetworkInstance, NodeSpec
 
 SHAPES = ("balanced", "path", "random")
 
@@ -70,16 +70,16 @@ def _skeleton(cfg: GenConfig, rng: random.Random) -> dict[str, str | None]:
             parents[cur] = prev
     elif cfg.shape == "balanced":
         frontier = [ids[0]]
-        pending = ids[1:]
-        while pending:
+        placed = 1  # ids[placed:] still wait for a parent
+        while placed < len(ids):
             nxt: list[str] = []
             for node in frontier:
-                take = min(rng.randint(*cfg.branching), len(pending))
-                for _ in range(take):
-                    child = pending.pop(0)
+                take = min(rng.randint(*cfg.branching), len(ids) - placed)
+                for child in ids[placed : placed + take]:
                     parents[child] = node
                     nxt.append(child)
-                if not pending:
+                placed += take
+                if placed == len(ids):
                     break
             frontier = nxt or frontier
     else:  # random attachment
@@ -94,7 +94,8 @@ def generate(cfg: GenConfig) -> NetworkInstance:
     parents = _skeleton(cfg, rng)
     internal_ids = sorted(parents)
 
-    childless = [nid for nid in internal_ids if nid not in set(parents.values())]
+    with_children = set(parents.values())
+    childless = [nid for nid in internal_ids if nid not in with_children]
     if cfg.clients < len(childless):
         raise ConfigError(
             f"{cfg.clients} clients cannot cover {len(childless)} childless "
@@ -121,9 +122,8 @@ def generate(cfg: GenConfig) -> NetworkInstance:
             )
         )
     inst = NetworkInstance(capacity=cfg.capacity, nodes=tuple(nodes))
-    problems = validate_instance(inst)
-    if problems:  # pragma: no cover - would be a generator bug
-        raise ConfigError(f"generated an invalid instance: {problems[0].message}")
+    if inst.violations:  # pragma: no cover - would be a generator bug
+        raise ConfigError(f"generated an invalid instance: {inst.violations[0].message}")
     return inst
 
 
@@ -258,26 +258,53 @@ def fictivize(net: DualRoleNetwork) -> NetworkInstance:
 
 
 def parse_dual_role(text: str) -> DualRoleNetwork:
+    """Parse a dual-role document.
+
+    Raises MalformedDocumentError for syntax and schema problems and
+    StructureError for a parent that names no node. Other tree faults
+    (cycles, several roots) surface when the fictivized instance is
+    validated.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"capacity", "nodes"}:
         raise MalformedDocumentError("expected an object with capacity and nodes")
+    # json.loads values: ``type(v) is int`` means a JSON integer, never a bool
+    if type(doc["capacity"]) is not int:
+        raise MalformedDocumentError("'capacity' must be an integer")
+    if not isinstance(doc["nodes"], list):
+        raise MalformedDocumentError("'nodes' must be an array")
     parents: dict[str, str | None] = {}
     bandwidth: dict[str, int] = {}
     demand: dict[str, tuple[int, int]] = {}
     for raw in doc["nodes"]:
+        if not isinstance(raw, dict):
+            raise MalformedDocumentError("node entries must be objects")
         if set(raw) != {"id", "parent", "bw", "demand"}:
             raise MalformedDocumentError(f"bad node fields: {sorted(raw)}")
         nid = raw["id"]
+        if not isinstance(nid, str) or nid == "":
+            raise MalformedDocumentError("node id must be a non-empty string")
         if nid in parents:
             raise MalformedDocumentError(f"duplicate id {nid!r}")
+        if raw["parent"] is not None and not isinstance(raw["parent"], str):
+            raise MalformedDocumentError(f"parent of {nid!r} must be a string or null")
+        if raw["bw"] is not None and type(raw["bw"]) is not int:
+            raise MalformedDocumentError(f"bw of {nid!r} must be an integer or null")
         parents[nid] = raw["parent"]
         bandwidth[nid] = raw["bw"]
-        if raw["demand"] is not None:
-            w, q = raw["demand"]
-            demand[nid] = (int(w), int(q))
+        pair = raw["demand"]
+        if pair is not None:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)):
+                raise MalformedDocumentError(
+                    f"demand of {nid!r} must be null or a [weight, qos] pair of integers"
+                )
+            demand[nid] = (pair[0], pair[1])
+    for nid, parent in parents.items():
+        if parent is not None and parent not in parents:
+            raise StructureError(f"parent {parent!r} of {nid!r} does not exist")
     return DualRoleNetwork(
         capacity=doc["capacity"], parents=parents, bandwidth=bandwidth, demand=demand
     )

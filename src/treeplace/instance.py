@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 from .errors import MalformedDocumentError, RoleError, StructureError
@@ -45,7 +47,7 @@ _ROLE_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSpec:
     """One tree node as written in the document."""
 
@@ -61,7 +63,7 @@ class NodeSpec:
         return self.kind == KIND_CLIENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One validation finding; ``code`` is stable, ``message`` is for humans."""
 
@@ -80,16 +82,21 @@ class NetworkInstance:
 
     Node order is normalized to ascending id so that value equality and
     serialization are canonical. The derived accessors (``by_id``,
-    ``children`` ...) assume the instance passed validation; run
-    :func:`validate_instance` first for untrusted data.
+    ``children`` ...) assume the instance passed validation; check
+    ``violations`` first for untrusted data.
     """
 
     capacity: int
     nodes: tuple[NodeSpec, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.nodes, key=lambda n: n.id))
+        ordered = tuple(sorted(self.nodes, key=attrgetter("id")))
         object.__setattr__(self, "nodes", ordered)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The :func:`validate_instance` verdict, computed once per instance."""
+        return tuple(validate_instance(self))
 
     @cached_property
     def by_id(self) -> dict[str, NodeSpec]:
@@ -104,12 +111,12 @@ class NetworkInstance:
 
     @cached_property
     def children(self) -> dict[str, tuple[NodeSpec, ...]]:
-        table: dict[str, list[NodeSpec]] = {n.id: [] for n in self.nodes}
+        table: dict[str, list[NodeSpec]] = {}
         for n in self.nodes:
             if n.parent is not None:
-                table[n.parent].append(n)
+                table.setdefault(n.parent, []).append(n)
         # self.nodes is id-sorted, so each child list is already sorted
-        return {k: tuple(v) for k, v in table.items()}
+        return {n.id: tuple(table.get(n.id, ())) for n in self.nodes}
 
     @cached_property
     def clients(self) -> tuple[NodeSpec, ...]:
@@ -127,38 +134,32 @@ class PrecheckFinding(NamedTuple):
     limit: int
 
 
-def _require(cond: bool, exc: type[Exception], msg: str) -> None:
-    if not cond:
-        raise exc(msg)
-
-
 def _node_from_mapping(raw: Any) -> NodeSpec:
-    _require(isinstance(raw, dict), MalformedDocumentError, "node entries must be objects")
-    unknown = set(raw) - _NODE_FIELDS
-    _require(not unknown, MalformedDocumentError, f"unknown node fields: {sorted(unknown)}")
-    _require("id" in raw and "kind" in raw, MalformedDocumentError, "node needs 'id' and 'kind'")
-    _require("parent" in raw, MalformedDocumentError, f"node {raw.get('id')!r} needs 'parent'")
+    # Plain checks: a message is formatted only for the check that fails.
+    # Values come from json.loads, so ``type(v) is int`` is exactly "a JSON
+    # integer" (a bool is not one).
+    if not isinstance(raw, dict):
+        raise MalformedDocumentError("node entries must be objects")
+    if not raw.keys() <= _NODE_FIELDS:
+        raise MalformedDocumentError(f"unknown node fields: {sorted(set(raw) - _NODE_FIELDS)}")
+    if "id" not in raw or "kind" not in raw:
+        raise MalformedDocumentError("node needs 'id' and 'kind'")
+    if "parent" not in raw:
+        raise MalformedDocumentError(f"node {raw.get('id')!r} needs 'parent'")
     node_id = raw["id"]
-    _require(isinstance(node_id, str) and node_id != "", MalformedDocumentError, "node id must be a non-empty string")
+    if not isinstance(node_id, str) or node_id == "":
+        raise MalformedDocumentError("node id must be a non-empty string")
     parent = raw["parent"]
-    _require(parent is None or isinstance(parent, str), MalformedDocumentError, f"parent of {node_id!r} must be a string or null")
+    if parent is not None and not isinstance(parent, str):
+        raise MalformedDocumentError(f"parent of {node_id!r} must be a string or null")
     kind = raw["kind"]
-    _require(kind in (KIND_CLIENT, KIND_INTERNAL), MalformedDocumentError, f"node {node_id!r} has unknown kind {kind!r}")
+    if kind not in (KIND_CLIENT, KIND_INTERNAL):
+        raise MalformedDocumentError(f"node {node_id!r} has unknown kind {kind!r}")
     for key in ("bw", "w", "q"):
         val = raw.get(key)
-        _require(
-            val is None or (isinstance(val, int) and not isinstance(val, bool)),
-            MalformedDocumentError,
-            f"field {key!r} of {node_id!r} must be an integer",
-        )
-    return NodeSpec(
-        id=node_id,
-        parent=parent,
-        kind=kind,
-        bw=raw.get("bw"),
-        w=raw.get("w"),
-        q=raw.get("q"),
-    )
+        if val is not None and type(val) is not int:
+            raise MalformedDocumentError(f"field {key!r} of {node_id!r} must be an integer")
+    return NodeSpec(node_id, parent, kind, raw.get("bw"), raw.get("w"), raw.get("q"))
 
 
 def parse_instance(text: str) -> NetworkInstance:
@@ -166,47 +167,75 @@ def parse_instance(text: str) -> NetworkInstance:
 
     Raises MalformedDocumentError for syntax/schema problems,
     StructureError for tree-shape problems and RoleError for node-role
-    problems. The returned instance always passes validation.
+    problems. The returned instance always passes validation, and keeps
+    that verdict (see ``NetworkInstance.violations``).
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), MalformedDocumentError, "document root must be an object")
-    unknown = set(doc) - _TOP_FIELDS
-    _require(not unknown, MalformedDocumentError, f"unknown document fields: {sorted(unknown)}")
-    _require("W" in doc and "nodes" in doc, MalformedDocumentError, "document needs 'W' and 'nodes'")
-    cap = doc["W"]
-    _require(
-        isinstance(cap, int) and not isinstance(cap, bool),
-        MalformedDocumentError,
-        "'W' must be an integer",
-    )
-    _require(isinstance(doc["nodes"], list), MalformedDocumentError, "'nodes' must be an array")
-    nodes = tuple(_node_from_mapping(raw) for raw in doc["nodes"])
-    inst = NetworkInstance(capacity=cap, nodes=nodes)
-    violations = validate_instance(inst)
-    if violations:
-        first = violations[0]
-        exc = RoleError if first.code in _ROLE_CODES else StructureError
-        raise exc("; ".join(str(v) for v in violations))
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError("document root must be an object")
+    if not doc.keys() <= _TOP_FIELDS:
+        raise MalformedDocumentError(f"unknown document fields: {sorted(set(doc) - _TOP_FIELDS)}")
+    if "W" not in doc or "nodes" not in doc:
+        raise MalformedDocumentError("document needs 'W' and 'nodes'")
+    if type(doc["W"]) is not int:
+        raise MalformedDocumentError("'W' must be an integer")
+    if not isinstance(doc["nodes"], list):
+        raise MalformedDocumentError("'nodes' must be an array")
+    nodes = tuple(map(_node_from_mapping, doc["nodes"]))
+    inst = NetworkInstance(capacity=doc["W"], nodes=nodes)
+    require_valid(inst)
     return inst
 
 
+def require_valid(inst: NetworkInstance) -> None:
+    """Raise unless ``inst`` validates: RoleError when the first finding is
+    a role problem, StructureError otherwise, naming every finding."""
+    violations = inst.violations
+    if violations:
+        exc = RoleError if violations[0].code in _ROLE_CODES else StructureError
+        raise exc("; ".join(str(v) for v in violations))
+
+
+def _json_value(value: Any, pad: str) -> str:
+    """``value`` as the indented, key-sorted encoder writes it at indent ``pad``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    # Anything else (a bool, a float, a value no validation has vetted):
+    # the encoder itself, re-indented to where the value sits.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def serialize_instance(inst: NetworkInstance) -> str:
-    """Canonical document text: key-sorted, id-sorted nodes, newline-terminated."""
-    nodes = []
+    """Canonical document text: key-sorted, id-sorted nodes, newline-terminated.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
+    of the document, written directly in its fixed key order (``bw``,
+    ``id``, ``kind``, ``parent``, ``q``, ``w``) instead of through the
+    encoder's pure-Python indenting path.
+    """
+    pad = " " * 6
+    blocks = []
     for n in inst.nodes:
-        entry: dict[str, Any] = {"id": n.id, "parent": n.parent, "kind": n.kind}
+        lines = []
         if n.bw is not None:
-            entry["bw"] = n.bw
-        if n.w is not None:
-            entry["w"] = n.w
+            lines.append('"bw": ' + _json_value(n.bw, pad))
+        lines.append('"id": ' + _json_value(n.id, pad))
+        lines.append('"kind": ' + _json_value(n.kind, pad))
+        lines.append('"parent": ' + _json_value(n.parent, pad))
         if n.q is not None:
-            entry["q"] = n.q
-        nodes.append(entry)
-    doc = {"W": inst.capacity, "nodes": nodes}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            lines.append('"q": ' + _json_value(n.q, pad))
+        if n.w is not None:
+            lines.append('"w": ' + _json_value(n.w, pad))
+        blocks.append("    {\n      " + ",\n      ".join(lines) + "\n    }")
+    nodes = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    return '{\n  "W": ' + _json_value(inst.capacity, "  ") + ',\n  "nodes": ' + nodes + "\n}\n"
 
 
 def validate_instance(inst: NetworkInstance) -> list[Violation]:
@@ -239,28 +268,23 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
         if n.parent == n.id:
             add("cycle", n.id, "node is its own parent")
 
-    # Reachability from the root doubles as cycle detection.
-    if len(roots) == 1 and not any(v.code in ("unknown-parent", "duplicate-id") for v in out):
-        children: dict[str, list[str]] = {n.id: [] for n in inst.nodes}
-        for n in inst.nodes:
-            if n.parent is not None:
-                children[n.parent].append(n.id)
-        reached: set[str] = set()
-        stack = [roots[0].id]
-        while stack:
-            cur = stack.pop()
-            if cur in reached:
-                continue
-            reached.add(cur)
-            stack.extend(children[cur])
-        for n in inst.nodes:
-            if n.id not in reached:
-                add("cycle", n.id, "node is not reachable from the root (cycle or orphan)")
-
-    child_count: dict[str, int] = {n.id: 0 for n in inst.nodes}
+    children: dict[str, list[str]] = {}  # only nodes that have children
     for n in inst.nodes:
-        if n.parent in child_count:
-            child_count[n.parent] += 1
+        if n.parent is not None:
+            children.setdefault(n.parent, []).append(n.id)
+
+    # Reachability from the root doubles as cycle detection. With one root
+    # and unique ids each node sits in exactly one child list, so the walk
+    # meets every reachable node once.
+    if len(roots) == 1 and not any(v.code in ("unknown-parent", "duplicate-id") for v in out):
+        order = [roots[0].id]
+        for cur in order:
+            order.extend(children.get(cur, ()))
+        if len(order) != len(inst.nodes):
+            reached = set(order)
+            for n in inst.nodes:
+                if n.id not in reached:
+                    add("cycle", n.id, "node is not reachable from the root (cycle or orphan)")
 
     n_clients = 0
     n_internal = 0
@@ -270,7 +294,7 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
             n_clients += 1
             if is_root:
                 add("root-role", n.id, "root must be an internal node")
-            if child_count[n.id]:
+            if n.id in children:
                 add("client-children", n.id, "clients must be leaves")
             if not (isinstance(n.w, int) and n.w >= 0):
                 add("client-fields", n.id, "client needs integer w >= 0")
@@ -280,7 +304,7 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
             n_internal += 1
             if n.w is not None or n.q is not None:
                 add("internal-fields", n.id, "internal nodes carry no w/q")
-            if child_count[n.id] == 0:
+            if n.id not in children:
                 add("childless-internal", n.id, "internal node has no children")
         if is_root:
             if n.bw is not None:

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any
 
 from .errors import ContractViolationError, InfeasibleError, StructureError
@@ -32,7 +33,6 @@ from .instance import (
     NetworkInstance,
     NodeSpec,
     precheck_client_links,
-    validate_instance,
 )
 
 UNBOUNDED = math.inf  # bandwidth/contribution value that never binds
@@ -43,7 +43,7 @@ REASON_BUNDLE = "bundle demand exceeds capacity"
 REASON_QOS = "qos exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarLeaf:
     """A bundle of sibling clients, attached where their parent was.
 
@@ -61,7 +61,7 @@ class StarLeaf:
     origin_clients: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarNode:
     id: str
     parent: str | None
@@ -82,7 +82,7 @@ class StarTree:
     nodes: tuple[StarNode, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.nodes, key=lambda n: n.id))
+        ordered = tuple(sorted(self.nodes, key=attrgetter("id")))
         object.__setattr__(self, "nodes", ordered)
 
     @cached_property
@@ -91,11 +91,12 @@ class StarTree:
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        table: dict[str, list[str]] = {}
         for n in self.nodes:
             if n.parent is not None:
-                table[n.parent].append(n.id)
-        return {k: tuple(v) for k, v in table.items()}  # id-sorted via node order
+                table.setdefault(n.parent, []).append(n.id)
+        # id-sorted via node order
+        return {n.id: tuple(table.get(n.id, ())) for n in self.nodes}
 
     @cached_property
     def depth(self) -> dict[str, int]:
@@ -166,27 +167,28 @@ def add_artificial_root(inst: NetworkInstance) -> _TreeBuilder:
 
 
 def _bundle(parent: NodeSpec, clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> StarLeaf:
+    # ``clients`` come in ascending id order, as NetworkInstance.children lists them.
     weight = sum(c.w for c in clients)  # type: ignore[misc]
     demanding = [c.q for c in clients if c.w]  # zero-demand clients constrain nothing
     base = min(demanding) if demanding else min(c.q for c in clients)  # type: ignore[type-var]
     qos = base - 1 if suppressed else base
+    client_ids = tuple(c.id for c in clients)
     if qos < 0:
-        raise InfeasibleError(
-            REASON_QOS, ((leaf_id, tuple(sorted(c.id for c in clients))),)
-        )
+        raise InfeasibleError(REASON_QOS, ((leaf_id, client_ids),))
     return StarLeaf(
         id=leaf_id,
         weight=weight,
         qos=qos,
         eligible=suppressed,
         origin_internal=parent.id if suppressed else None,
-        origin_clients=tuple(sorted(c.id for c in clients)),
+        origin_clients=client_ids,
     )
 
 
 def suppress_clients(parent: NodeSpec, clients: list[NodeSpec]) -> StarLeaf:
     """Parent of an all-client family becomes an eligible leaf bundle.
 
+    ``clients`` are the parent's client children in ascending id order.
     The -1 on the qos accounts for the hop from the vanished clients up
     to the parent. Raises InfeasibleError("qos exhausted") if that drives
     the qos below zero (impossible for validated instances, where q >= 1).
@@ -197,24 +199,26 @@ def suppress_clients(parent: NodeSpec, clients: list[NodeSpec]) -> StarLeaf:
 def compress_clients(parent: NodeSpec, clients: list[NodeSpec]) -> StarLeaf:
     """Merge the client children of a mixed parent into one ineligible leaf.
 
+    ``clients`` are the parent's client children in ascending id order.
     The merged leaf reuses the smallest client id and hangs from the
     parent behind an unbounded artificial link: the first physical link
     its bundle shares with anything is parent -> grandparent.
     """
-    leaf_id = min(c.id for c in clients)
-    return _bundle(parent, clients, suppressed=False, leaf_id=leaf_id)
+    return _bundle(parent, clients, suppressed=False, leaf_id=clients[0].id)
 
 
 def transform_to_star(inst: NetworkInstance) -> StarTree:
     """Normalize a validated instance into a StarTree.
 
-    Raises InfeasibleError when the precheck fails or some merged bundle
-    exceeds the shared capacity (the closest policy sends a whole bundle
-    to a single server, so weight > W can never be served).
+    Raises StructureError, naming every finding, when the instance does
+    not validate; the verdict is the one the instance keeps, so a parsed
+    instance is not validated again. Raises InfeasibleError when the
+    precheck fails or some merged bundle exceeds the shared capacity (the
+    closest policy sends a whole bundle to a single server, so weight > W
+    can never be served).
     """
-    violations = validate_instance(inst)
-    if violations:
-        raise StructureError("; ".join(str(v) for v in violations))
+    if inst.violations:
+        raise StructureError("; ".join(str(v) for v in inst.violations))
     findings = precheck_client_links(inst)
     if findings:
         reason = (
@@ -228,10 +232,10 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     root_id = inst.root.id
     heavy: list[tuple[str, int]] = []
     for node in inst.nodes:
-        if node.is_client:
+        if node.kind == KIND_CLIENT:
             continue
         kids = inst.children[node.id]
-        client_kids = [k for k in kids if k.is_client]
+        client_kids = [k for k in kids if k.kind == KIND_CLIENT]
         link_bw: int | float = 0 if node.id == root_id else node.bw  # type: ignore[assignment]
         parent_id = ARTIFICIAL_ROOT_ID if node.id == root_id else node.parent
         if client_kids and len(client_kids) == len(kids):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
 from .errors import StructureError
 from .instance import NetworkInstance, NodeSpec
@@ -31,7 +33,7 @@ MODE_AGGREGATE = "aggregate"
 _UNBOUNDED = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleViolation:
     kind: str  # "unserved" | "capacity" | "bandwidth" | "qos"
     location: str  # client id, server id, or child-end id of the link
@@ -43,12 +45,32 @@ class FeasibilityReport:
     mode: str
     assignment: dict[str, str | None]  # client -> serving replica (None: w = 0)
     server_loads: dict[str, int]
-    link_flows: dict[str, dict]  # child-end id -> {"total": int, "parts": [[label, flow], ...]}
     violations: tuple[RuleViolation, ...]
+    # the instance checked; link_flows is derived from it on demand
+    instance: NetworkInstance = field(repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def link_flows(self) -> dict[str, dict]:
+        """child-end id -> {"total": int, "parts": [[label, flow], ...]}, both sorted.
+
+        Built from the same link walk as the bandwidth check, on first
+        read only: a solve's self-check never reads it.
+        """
+        parts: dict[str, list[tuple[str, int]]] = {}
+        for child_end, label, flow in _link_crossings(self.instance, self.assignment):
+            parts.setdefault(child_end, []).append((label, flow))
+        out: dict[str, dict] = {}
+        for child_end in sorted(parts):
+            ordered = sorted(parts[child_end])
+            out[child_end] = {
+                "total": sum(f for _, f in ordered),
+                "parts": [[label, f] for label, f in ordered],
+            }
+        return out
 
     def to_document(self) -> dict:
         return {
@@ -56,7 +78,7 @@ class FeasibilityReport:
             "feasible": self.feasible,
             "assignment": dict(sorted(self.assignment.items())),
             "server_loads": dict(sorted(self.server_loads.items())),
-            "link_flows": {k: self.link_flows[k] for k in sorted(self.link_flows)},
+            "link_flows": dict(self.link_flows),
             "violations": [
                 {"kind": v.kind, "location": v.location, "amount": v.amount}
                 for v in self.violations
@@ -104,6 +126,33 @@ def _bundles(inst: NetworkInstance) -> list[tuple[str, list[NodeSpec]]]:
     return sorted(groups.items())
 
 
+def _link_crossings(
+    inst: NetworkInstance, assignment: dict[str, str | None]
+) -> Iterator[tuple[str, str, int]]:
+    """``(child-end id, label, flow)`` for every link a served flow crosses.
+
+    Every client edge carries just its own demand (labelled by the
+    client); above the bundle's parent the merged flow travels together
+    up to the server (labelled by that parent).
+    """
+    by_id = inst.by_id
+    for client in inst.clients:
+        if client.w and assignment.get(client.id):
+            yield client.id, client.id, client.w  # type: ignore[misc]
+    for parent_id, members in _bundles(inst):
+        served = [c for c in members if assignment.get(c.id)]
+        if not served:
+            continue
+        server = assignment[served[0].id]
+        bundle_flow = sum(c.w for c in served)  # type: ignore[misc]
+        # all served siblings share one nearest ancestor
+        assert all(assignment[c.id] == server for c in served)
+        cur = parent_id
+        while cur != server:
+            yield cur, parent_id, bundle_flow
+            cur = by_id[cur].parent  # type: ignore[assignment]
+
+
 def verify_placement(
     inst: NetworkInstance, replicas: set[str] | frozenset[str], mode: str = MODE_PER_BUNDLE
 ) -> FeasibilityReport:
@@ -115,12 +164,11 @@ def verify_placement(
     if mode not in (MODE_PER_BUNDLE, MODE_AGGREGATE):
         raise ValueError(f"unknown mode {mode!r}")
     replica_set = set(replicas)
-    internal = set(inst.internal_ids)
-    stray = replica_set - internal
+    by_id = inst.by_id
+    stray = {r for r in replica_set if r not in by_id or by_id[r].is_client}
     if stray:
         raise StructureError(f"replica set contains non-internal nodes: {sorted(stray)}")
 
-    by_id = inst.by_id
     assignment, violations = closest_assignment(inst, replica_set)
 
     loads: dict[str, int] = {r: 0 for r in sorted(replica_set)}
@@ -133,47 +181,27 @@ def verify_placement(
                 RuleViolation("capacity", server, loads[server] - inst.capacity)
             )
 
-    # Link flows. Every client edge carries just its own demand; above the
-    # bundle's parent the merged flow travels together up to the server.
-    flows: dict[str, list[tuple[str, int]]] = {}
-    for client in inst.clients:
-        if client.w and assignment.get(client.id):
-            flows.setdefault(client.id, []).append((client.id, client.w))
-    for parent_id, members in _bundles(inst):
-        served = [c for c in members if assignment.get(c.id)]
-        if not served:
-            continue
-        server = assignment[served[0].id]
-        bundle_flow = sum(c.w for c in served)  # type: ignore[misc]
-        # all served siblings share one nearest ancestor
-        assert all(assignment[c.id] == server for c in served)
-        cur = parent_id
-        while cur != server:
-            flows.setdefault(cur, []).append((parent_id, bundle_flow))
-            cur = by_id[cur].parent  # type: ignore[assignment]
-
-    link_flows: dict[str, dict] = {}
-    for child_end in sorted(flows):
-        parts = sorted(flows[child_end])
-        total = sum(f for _, f in parts)
-        link_flows[child_end] = {"total": total, "parts": [[label, f] for label, f in parts]}
+    # Per-bundle: the largest single flow on a link; aggregate: their sum.
+    link_load: dict[str, int] = {}
+    aggregate = mode == MODE_AGGREGATE
+    for child_end, _label, flow in _link_crossings(inst, assignment):
+        if aggregate:
+            link_load[child_end] = link_load.get(child_end, 0) + flow
+        elif flow > link_load.get(child_end, 0):
+            link_load[child_end] = flow
+    for child_end, load in link_load.items():
         bw = by_id[child_end].bw
         assert bw is not None
-        if mode == MODE_AGGREGATE:
-            if total > bw:
-                violations.append(RuleViolation("bandwidth", child_end, total - bw))
-        else:
-            worst = max(f for _, f in parts)
-            if worst > bw:
-                violations.append(RuleViolation("bandwidth", child_end, worst - bw))
+        if load > bw:
+            violations.append(RuleViolation("bandwidth", child_end, load - bw))
 
     ordered = tuple(sorted(violations, key=lambda v: (v.kind, v.location)))
     return FeasibilityReport(
         mode=mode,
         assignment=assignment,
         server_loads=loads,
-        link_flows=link_flows,
         violations=ordered,
+        instance=inst,
     )
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs through cli.main with in-process argv."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -87,6 +88,22 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert json.loads(out)["feasible"] is True
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+@pytest.mark.parametrize("fixture", ["worked_example", "shared_link"])
+def test_verify_report_matches_stored_text(tmp_path, capsys, fixture, mode):
+    """The whole report document, link flows included, pinned byte for byte."""
+    inst = str(FIXTURES / f"{fixture}.json")
+    sol = tmp_path / "sol.json"
+    assert main(["solve", inst, "--out", str(sol)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", inst, str(sol), "--mode", mode)
+    assert out == (GOLDEN / f"verify.{fixture}.{mode}.json").read_text(encoding="utf-8")
+    assert code == (0 if json.loads(out)["feasible"] else 2)
+
+
 def test_verify_rejects_bad_set(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"replicas": []}))
@@ -167,6 +184,39 @@ def test_gen_dual_role_and_fictivize(tmp_path, capsys):
     # the rewritten document is a normal instance the solver accepts
     assert main(["solve", str(inst)]) in (0, 2)
     capsys.readouterr()
+
+
+_DUAL_ROOT = {"id": "a", "parent": None, "bw": 3, "demand": [2, 1]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": "zz", "bw": 3, "demand": [1, 1]}]},
+        {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": "a", "bw": 3, "demand": [1]}]},
+        {"capacity": 9, "nodes": [_DUAL_ROOT, 5]},
+        {"capacity": "x", "nodes": [_DUAL_ROOT]},
+    ],
+    ids=["unknown-parent", "one-element-demand", "non-object-node", "string-capacity"],
+)
+def test_gen_fictivize_rejects_hostile_documents(tmp_path, capsys, doc):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gen", "--fictivize", str(net))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_gen_fictivize_validates_the_rewritten_instance(tmp_path, capsys):
+    # schema-clean, but the rewrite has two roots
+    doc = {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": None, "bw": 3, "demand": [1, 1]}]}
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gen", "--fictivize", str(net))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [root-count]")
 
 
 def test_gen_bad_branching_syntax(capsys):

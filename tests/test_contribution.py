@@ -270,3 +270,24 @@ def test_rows_monotone_and_capped(seed):
             if c != INF:
                 assert c <= star.capacity
                 assert len(t.e_row[i]) == len(t.e_row[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_leaf_rows_match_leaf_contribution(seed):
+    """Every stored leaf cell is leaf_contribution over the path minimum."""
+    inst = generate(
+        GenConfig(seed=seed, internal=9, clients=14, capacity=60, weight_range=(0, 6),
+                  qos_range=(1, 5), bandwidth_range=(2, 9))
+    )
+    try:
+        star = transform_to_star(inst)
+    except InfeasibleError:
+        return
+    table = run_phase1(star)
+    for node in star.leaves:
+        row = table.table(node.id).c_row
+        expect = tuple(
+            leaf_contribution(node.leaf, i, min_bw_on_path(star, node.id, i))
+            for i in range(len(row))
+        )
+        assert row == expect, node.id

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from treeplace.errors import ConfigError
@@ -19,6 +21,23 @@ from treeplace.solver import solve_instance
 def test_same_seed_same_document():
     cfg = GenConfig(seed=42, internal=6, clients=9, capacity=30)
     assert serialize_instance(generate(cfg)) == serialize_instance(generate(cfg))
+
+
+@pytest.mark.parametrize(
+    "cfg,digest",
+    [
+        (GenConfig(seed=3, internal=400, clients=600, capacity=50, shape="balanced",
+                   branching=(1, 4)), "048de11f5162303da401a2b3af7c641577b29fdd"),
+        (GenConfig(seed=4, internal=300, clients=120, capacity=50, shape="path"),
+         "fbf1af7fc012712043de568c8c785b53c3e2b4e7"),
+        (GenConfig(seed=5, internal=400, clients=600, capacity=50, shape="random"),
+         "da19fad6e2343bcbf84bd288ecad020dd2351b9a"),
+    ],
+    ids=["balanced", "path", "random"],
+)
+def test_documents_are_pinned(cfg, digest):
+    """Seeded documents stay byte-identical: same draws, same order, same text."""
+    assert hashlib.sha1(serialize_instance(generate(cfg)).encode()).hexdigest() == digest
 
 
 def test_different_seeds_differ():

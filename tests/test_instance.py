@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import treeplace.instance as instance_module
 from treeplace.errors import MalformedDocumentError, RoleError, StructureError
 from treeplace.generator import GenConfig, generate
 from treeplace.instance import (
@@ -13,6 +14,8 @@ from treeplace.instance import (
     serialize_instance,
     validate_instance,
 )
+from treeplace.solver import solve_instance
+from treeplace.transform import transform_to_star
 
 MINIMAL = {
     "W": 10,
@@ -175,3 +178,87 @@ def test_children_accessor_sorted(worked_example):
     for parent, kids in worked_example.children.items():
         ids = [k.id for k in kids]
         assert ids == sorted(ids)
+
+
+def _reference_serialization(inst):
+    """The canonical text as the stock encoder writes it."""
+    nodes = []
+    for n in inst.nodes:
+        entry = {"id": n.id, "parent": n.parent, "kind": n.kind}
+        for key in ("bw", "w", "q"):
+            if getattr(n, key) is not None:
+                entry[key] = getattr(n, key)
+        nodes.append(entry)
+    return json.dumps({"W": inst.capacity, "nodes": nodes}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        NetworkInstance(capacity=5, nodes=(
+            NodeSpec("r\u00e9seau", None, "internal"),
+            NodeSpec("\u00fcber \"c\"\n\U0001f600", "r\u00e9seau", "client", bw=3, w=1, q=2),
+        )),
+        # unvalidated values: the writer must still match the encoder
+        NetworkInstance(capacity="x", nodes=(NodeSpec("a", None, "internal", bw=2.5),)),
+        NetworkInstance(capacity=True, nodes=(NodeSpec("a", 7, "client", w=False, q=[1, {"z": 2, "b": None}]),)),
+        NetworkInstance(capacity=3, nodes=()),
+    ],
+    ids=["non-ascii", "string-capacity", "odd-values", "no-nodes"],
+)
+def test_serialize_matches_stock_encoder(inst):
+    assert serialize_instance(inst) == _reference_serialization(inst)
+
+
+def test_serialize_matches_stock_encoder_on_fixtures_and_generated(worked_example, shared_link):
+    insts = [worked_example, shared_link]
+    insts += [
+        generate(GenConfig(seed=seed, internal=30, clients=40, capacity=50, shape=shape))
+        for seed, shape in enumerate(("balanced", "path", "random"))
+    ]
+    for inst in insts:
+        assert serialize_instance(inst) == _reference_serialization(inst)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The instances validate_instance is called on, in call order."""
+    calls = []
+    real = instance_module.validate_instance
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(instance_module, "validate_instance", counting)
+    return calls
+
+
+def test_parse_then_solve_validates_once(worked_example, validate_calls):
+    inst = parse_instance(serialize_instance(worked_example))
+    solve_instance(inst)
+    solve_instance(inst)
+    assert validate_calls == [inst]
+
+
+def test_instance_built_in_code_is_validated_on_transform(validate_calls):
+    inst = NetworkInstance(capacity=10, nodes=(
+        NodeSpec("r", None, "internal"),
+        NodeSpec("c", "r", "client", bw=5, w=3, q=1),
+    ))
+    assert solve_instance(inst).cardinality == 1
+    assert validate_calls == [inst]
+
+
+def test_invalid_instance_built_in_code_is_rejected():
+    inst = NetworkInstance(capacity=10, nodes=(
+        NodeSpec("r", None, "internal"),
+        NodeSpec("s", None, "internal"),
+        NodeSpec("c", "r", "client", bw=5, w=3, q=1),
+    ))
+    expected = "; ".join(str(v) for v in validate_instance(inst))
+    assert "[root-count]" in expected and "[childless-internal] at 's'" in expected
+    for stage in (transform_to_star, solve_instance):
+        with pytest.raises(StructureError) as err:
+            stage(inst)
+        assert str(err.value) == expected
