@@ -9,12 +9,7 @@ any replica set independently; `brute_force_min` is the exhaustive
 ground truth for small instances.
 """
 
-from .contribution import (
-    MODE_AGGREGATE,
-    MODE_PER_BUNDLE,
-    ContributionTable,
-    run_phase1,
-)
+from .contribution import ContributionTable, run_phase1
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -27,6 +22,8 @@ from .errors import (
 )
 from .generator import GenConfig, fictivize, generate, generate_dual_role
 from .instance import (
+    MODE_AGGREGATE,
+    MODE_PER_BUNDLE,
     NetworkInstance,
     NodeSpec,
     parse_instance,

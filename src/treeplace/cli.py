@@ -11,12 +11,13 @@ indented, newline-terminated JSON so byte-identical reruns are the norm.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .contribution import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, run_phase1
+from .contribution import run_phase1
 from .errors import (
     ConfigError,
     GuardExceededError,
@@ -34,7 +35,14 @@ from .generator import (
     serialize_dual_role,
     small_corpus_config,
 )
-from .instance import parse_instance, require_valid, serialize_instance
+from .instance import (
+    MODE_AGGREGATE,
+    MODE_PER_BUNDLE,
+    MODES,
+    parse_instance,
+    require_valid,
+    serialize_instance,
+)
 from .oracle import DEFAULT_MAX_INTERNAL, brute_force_min
 from .solver import solve_instance
 from .transform import star_to_document, transform_to_star
@@ -87,6 +95,19 @@ def _load_replica_list(text: str) -> list[str]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    # A solve allocates many long-lived small objects and leaves only a few
+    # hundred in reference cycles, so the cyclic collector would mostly
+    # rescan live data: pause it for the command.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _solve(args)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
     _mode_notice(args.mode)
     try:
@@ -252,39 +273,40 @@ def _render_tables(star, table) -> str:
     """Two fixed-width tables: leaf contributions, then internal rows C/e/m."""
     lines: list[str] = []
     depth = star.depth
+    rows = {n: table.table(n) for n in table.nodes()}
 
     leaf_ids = sorted(node.id for node in star.leaves)
     if leaf_ids:
-        rng = max(len(table.table(n).c_row) for n in leaf_ids)
+        rng = max(len(rows[n].c_row) for n in leaf_ids)
         grid = [["i"] + leaf_ids]
         for i in range(rng):
             row = [str(i)]
             for n in leaf_ids:
-                c_row = table.table(n).c_row
+                c_row = rows[n].c_row
                 row.append(_fmt(c_row[i]) if i < len(c_row) else "-")
             grid.append(row)
         lines += ["leaf contributions C(v,i)", _layout(grid), ""]
 
     leaf_set = set(leaf_ids)
     internal_ids = sorted(
-        (n for n in table.nodes() if n not in leaf_set),
+        (n for n in rows if n not in leaf_set),
         key=lambda n: (-depth[n], n),
     )
-    rng = max(len(table.table(n).c_row) for n in internal_ids)
+    rng = max(len(rows[n].c_row) for n in internal_ids)
     grid = [["row"] + internal_ids]
     for i in range(rng):
         row = [f"C(v,{i})"]
         for n in internal_ids:
-            c_row = table.table(n).c_row
+            c_row = rows[n].c_row
             row.append(_fmt(c_row[i]) if i < len(c_row) else "-")
         grid.append(row)
     for i in range(rng):
         row = [f"e(v,{i})"]
         for n in internal_ids:
-            e_row = table.table(n).e_row
+            e_row = rows[n].e_row
             row.append("{" + ",".join(e_row[i]) + "}" if i < len(e_row) else "-")
         grid.append(row)
-    grid.append(["m(t(v))"] + [_fmt(table.m_of(n)) for n in internal_ids])
+    grid.append(["m(t(v))"] + [_fmt(rows[n].m_value) for n in internal_ids])
     lines += ["internal nodes", _layout(grid)]
     return "\n".join(lines) + "\n"
 

@@ -20,6 +20,13 @@ Rows are computed for ``i <= min(depth(v), L + 1)`` where ``L`` is the
 largest leaf qos: beyond that index every child contribution is ``inf``
 (or 0 for empty bundles) and all rows are provably identical, so the
 accessors clamp instead of storing duplicates.
+
+Within that range a row is stored only where it differs from the row
+before it (a change point). A leaf has at most one: the hop where its
+bundle stops fitting. Row ``i >= 2`` of an internal node depends only on
+its children's values at ``i + 1`` and the bound, so it is computed only
+where one of those changes; memory stays within N * (L + 2) cells and the
+greedy runs only on rows whose inputs changed.
 """
 
 from __future__ import annotations
@@ -29,13 +36,10 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleError
+from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
 from .transform import StarLeaf, StarTree
 
 INFINITE = math.inf
-
-MODE_PER_BUNDLE = "per-bundle"
-MODE_AGGREGATE = "aggregate"
-MODES = (MODE_PER_BUNDLE, MODE_AGGREGATE)
 
 REASON_EXHAUSTED = "no feasible assignment within capacity"
 
@@ -88,13 +92,13 @@ def min_bw_on_path(star: StarTree, node_id: str, hops: int) -> int | float:
     ``hops = 0`` is the empty path (unbounded). Raises ValueError when
     the path would run past the artificial root.
     """
-    if hops < 0 or hops > star.depth[node_id]:
+    v = star.index[node_id]
+    if hops < 0 or hops > star.depths[v]:
         raise ValueError(f"path of {hops} hops from {node_id!r} is out of range")
     best: int | float = INFINITE
-    cur = star.by_id[node_id]
     for _ in range(hops):
-        best = min(best, cur.bw)  # type: ignore[type-var]
-        cur = star.by_id[cur.parent]  # type: ignore[index]
+        best = min(best, star.bws[v])
+        v = star.parents[v]
     return best
 
 
@@ -117,30 +121,25 @@ def internal_node_update(
     hops: int,
     bound: int | float,
     e0_size: int | None = None,
-) -> tuple[tuple[str, ...], int | float]:
+    node: str | None = None,
+) -> tuple[tuple, int | float]:
     """One table row for an internal node.
 
-    ``children`` carries ``(child_id, contribution at hops+1, eligible)``.
-    At ``hops = 0`` an exhausted greedy means no replica assignment can
-    serve the subtree at all, which is a global infeasibility. At deeper
-    indices exhaustion (or an equip set that outgrew the ``hops = 0``
-    size ``e0_size``) just marks the row infinite.
+    ``children`` carries ``(child key, contribution at hops+1, eligible)``;
+    keys order like ids (phase 1 passes star indices). At ``hops = 0`` an
+    exhausted greedy means no replica assignment can serve the subtree at
+    all, which is a global infeasibility, reported against ``node``. At
+    deeper indices exhaustion (or an equip set that outgrew the
+    ``hops = 0`` size ``e0_size``) just marks the row infinite.
     """
     result = greedy_e_set(((c, cid, elig) for cid, c, elig in children), bound)
     if hops == 0:
         if result.exhausted:
-            raise InfeasibleError(REASON_EXHAUSTED)
+            raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
         return result.selected, result.residual
     if result.exhausted or len(result.selected) != e0_size:
         return result.selected, INFINITE
     return result.selected, result.residual
-
-
-def compute_m(children_m: Iterable[int], e0_size: int) -> int:
-    """Minimum replica count of a subtree: children's counts plus the
-
-    replicas equipped directly on children at index 0."""
-    return sum(children_m) + e0_size
 
 
 @dataclass(frozen=True)
@@ -155,55 +154,102 @@ class NodeTable:
 
 
 class ContributionTable:
-    """Phase 1 output: per-node rows plus the tree-wide minimum count."""
+    """Phase 1 output: per-node change-point rows plus the minimum count.
 
-    def __init__(
-        self,
-        mode: str,
-        max_range: int,
-        depth: dict[str, int],
-        c_rows: dict[str, list],
-        e_rows: dict[str, list],
-        m_values: dict[str, int],
-        root_plus: str,
-    ):
+    ``segments[v]`` lists ``(j, c, e)`` for ``j = 0`` and every later row
+    index where node ``v``'s row differs from row ``j - 1``; ``e`` holds
+    child indices. Row ``i`` is the last segment starting at or before
+    ``i``. The id-keyed accessors build their answers on each call.
+    """
+
+    def __init__(self, mode: str, star: StarTree, segments: list, m_values: list[int]):
         self.mode = mode
-        self.max_range = max_range
-        self._depth = depth
-        self._c = c_rows
-        self._e = e_rows
+        self.star = star
+        self.segments = segments
         self._m = m_values
-        self.root_plus = root_plus
-        self.min_replica_count: int = m_values[root_plus]
+        self.root_plus = star.root_plus
+        self.min_replica_count: int = m_values[star.root]
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._c))
+        ids = self.star.ids
+        return tuple(ids[v] for v in self.star.id_order)
 
     def depth_of(self, node: str) -> int:
-        return self._depth[node]
+        return self.star.depths[self.star.index[node]]
 
-    def _index(self, node: str, hops: int) -> int:
-        if hops < 0 or hops > self._depth[node]:
+    def row_at(self, v: int, hops: int) -> tuple:
+        """The ``(j, c, e)`` segment holding row ``hops`` of star index ``v``."""
+        for seg in reversed(self.segments[v]):
+            if seg[0] <= hops:
+                return seg
+        raise ValueError(f"index {hops} out of range")
+
+    def _row(self, node: str, hops: int) -> tuple:
+        v = self.star.index[node]
+        if hops < 0 or hops > self.star.depths[v]:
             raise ValueError(f"index {hops} out of range for node {node!r}")
-        return min(hops, len(self._c[node]) - 1)
+        return self.row_at(v, hops)
 
     def contribution(self, node: str, hops: int) -> int | float:
-        return self._c[node][self._index(node, hops)]
+        return self._row(node, hops)[1]
 
     def equip_set(self, node: str, hops: int) -> tuple[str, ...]:
-        return self._e[node][self._index(node, hops)]
+        ids = self.star.ids
+        return tuple(ids[c] for c in self._row(node, hops)[2])
 
     def m_of(self, node: str) -> int:
-        return self._m[node]
+        return self._m[self.star.index[node]]
 
     def table(self, node: str) -> NodeTable:
-        return NodeTable(
-            node=node,
-            depth=self._depth[node],
-            c_row=tuple(self._c[node]),
-            e_row=tuple(self._e[node]),
-            m_value=self._m[node],
-        )
+        star = self.star
+        ids = star.ids
+        v = star.index[node]
+        depth = star.depths[v]
+        segs = self.segments[v]
+        ends = [seg[0] for seg in segs[1:]] + [min(depth, star.max_leaf_qos + 1) + 1]
+        c_row: list = []
+        e_row: list = []
+        for (start, c, e), end in zip(segs, ends):
+            c_row += [c] * (end - start)
+            e_row += [tuple(ids[k] for k in e)] * (end - start)
+        return NodeTable(node, depth, tuple(c_row), tuple(e_row), self._m[v])
+
+
+def _path_bounds(star: StarTree, limit: int) -> list:
+    """Aggregate-mode greedy bounds, as change points, for every internal node.
+
+    The bound at ``(v, i)`` is ``min(W, smallest bw on the i-edge path above
+    v)``; it is W at ``i = 0`` and never rises with ``i``. Entry ``v`` lists
+    ``(i, bound)`` for each ``1 <= i <= min(depth(v), limit)`` where the
+    bound drops. A node's list is its parent's shifted one hop, clipped by
+    its own link, so one top-down pass fills every list.
+    """
+    capacity = star.capacity
+    bws = star.bws
+    parents = star.parents
+    depths = star.depths
+    weights = star.weights
+    out: list = [None] * len(bws)
+    out[star.root] = []
+    for v in star.preorder:
+        if weights[v] is not None or v == star.root:
+            continue
+        top = min(depths[v], limit)
+        own = min(capacity, bws[v])
+        drops = [(1, own)] if own < capacity else []
+        drops += [(i + 1, b) for i, b in out[parents[v]] if b < own and i < top]
+        out[v] = drops
+    return out
+
+
+def _solve_row(keys, vals, eligibles, hops, bound, e0_size, node):
+    """One internal row: nothing to equip when the children fit, else the greedy."""
+    total = sum(vals)  # inf when some child cannot be absorbed
+    if total <= bound:
+        return (), (total if hops == 0 or not e0_size else INFINITE)
+    return internal_node_update(
+        [(k, c, eligibles[k]) for k, c in zip(keys, vals)], hops, bound, e0_size, node
+    )
 
 
 def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable:
@@ -217,128 +263,98 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
     capped by the smallest bandwidth on the i-edge path above ``v``,
     which makes the residual respect summed link flows. This is an
     extension without optimality guarantees.
+
+    Rows 0 and 1 of an internal node are computed in full. Row ``i >= 2``
+    is the same function of the children's values at ``i + 1`` and the
+    bound as row ``i - 1`` is of theirs at ``i``, so it is computed only
+    where some child's contribution or the bound changes, and is stored
+    only where it differs from row ``i - 1``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    aggregate = mode == MODE_AGGREGATE
-    by_id = star.by_id
-    children = star.children
-    depth = star.depth
-    bound_w = star.capacity
-    row_limit = star.max_leaf_qos + 1
+    capacity = star.capacity
+    limit = star.max_leaf_qos + 1
+    ids = star.ids
+    parents = star.parents
+    bws = star.bws
+    weights = star.weights
+    qoses = star.qoses
+    eligibles = star.eligibles
+    kids = star.kids
+    depths = star.depths
+    path_bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
 
-    # children-before-parent order, no recursion
-    order: list[str] = []
-    stack = [star.root_plus]
-    while stack:
-        cur = stack.pop()
-        order.append(cur)
-        stack.extend(children[cur])
-    order.reverse()
-
-    c_rows: dict[str, list] = {}
-    e_rows: dict[str, list] = {}
-    m_values: dict[str, int] = {}
-
-    for vid in order:
-        node = by_id[vid]
-        rows = min(depth[vid], row_limit)
-        if node.leaf is not None:
-            # leaf_contribution in one walk: the row is the weight up to the
-            # first hop past the qos or through a link narrower than the
-            # weight, and infinite from there on (zero-demand: 0 throughout).
-            weight = node.leaf.weight
-            if weight == 0:
-                crow: list = [0] * (rows + 1)
-            else:
-                reach = min(rows, node.leaf.qos)
-                walker = node
+    segments: list = [None] * len(ids)
+    m_values = [0] * len(ids)
+    for v in reversed(star.preorder):
+        rows = min(depths[v], limit)
+        weight = weights[v]
+        if weight is not None:
+            # The leaf row (leaf_contribution over the path minimum) is the
+            # weight up to the first hop past the qos or through a link
+            # narrower than the weight, infinite from there on; zero-demand
+            # bundles contribute 0 throughout.
+            segments[v] = [(0, weight, ())]
+            if weight:
+                reach = min(rows, qoses[v])
+                walker = v
                 cut = 1
-                while cut <= reach and walker.bw >= weight:  # type: ignore[operator]
-                    walker = by_id[walker.parent]  # type: ignore[index]
+                while cut <= reach and bws[walker] >= weight:
+                    walker = parents[walker]
                     cut += 1
-                crow = [weight] * cut + [INFINITE] * (rows + 1 - cut)
-            c_rows[vid] = crow
-            e_rows[vid] = [()] * (rows + 1)
-            m_values[vid] = 0
+                if cut <= rows:
+                    segments[v].append((cut, INFINITE, ()))
             continue
 
-        kids = children[vid]  # ascending id
-        kid_rows = [c_rows[k] for k in kids]
-        kid_last = [len(r) - 1 for r in kid_rows]
-        kid_elig = [by_id[k].leaf is None or by_id[k].leaf.eligible for k in kids]
-        nkids = len(kids)
-        crow = []
-        erow: list = []
-        e0_size = 0
-        agg_min: int | float = INFINITE
-        walker = node
-        for i in range(rows + 1):
-            if aggregate and i > 0:
-                agg_min = min(agg_min, walker.bw)  # type: ignore[type-var]
-                walker = by_id[walker.parent]  # type: ignore[index]
-            bound = bound_w if (not aggregate or i == 0) else min(bound_w, agg_min)
-
-            j = i + 1
-            vals = [r[j] if j <= kid_last[idx] else r[kid_last[idx]] for idx, r in enumerate(kid_rows)]
-            finite = 0
-            infinites = 0
-            for v in vals:
-                if v == INFINITE:
-                    infinites += 1
+        below = kids[v]
+        at_one: list = []  # child values at index 1, for row 0
+        current: list = []  # child values at index 2, then at i + 1 as rows advance
+        changes: dict[int, list] = {}  # row i -> (child position, value at i + 1)
+        for pos, k in enumerate(below):
+            segs = segments[k]
+            c = c1 = c2 = segs[0][1]
+            for j, cj, _e in segs[1:]:
+                if cj == c:
+                    continue  # only the equip set changed
+                c = cj
+                if j <= 2:
+                    c2 = cj
+                    if j == 1:
+                        c1 = cj
+                elif j <= rows + 1:
+                    changes.setdefault(j - 1, []).append((pos, cj))
                 else:
-                    finite += v
-            if infinites == 0 and finite <= bound:
-                e_set: tuple = ()
-                residual: int | float = finite
-                exhausted = False
-            else:
-                # Same rule as greedy_e_set, on index positions (== id order).
-                elig_order = sorted(
-                    (idx for idx in range(nkids) if kid_elig[idx]),
-                    key=lambda idx: -vals[idx],
-                )
-                chosen: list[int] = []
-                pos = 0
-                while infinites > 0 or finite > bound:
-                    if pos == len(elig_order):
-                        exhausted = True
-                        break
-                    idx = elig_order[pos]
-                    pos += 1
-                    v = vals[idx]
-                    if v == INFINITE:
-                        infinites -= 1
+                    break
+            at_one.append(c1)
+            current.append(c2)
+
+        name = ids[v]
+        e0, c0 = _solve_row(below, at_one, eligibles, 0, capacity, None, name)
+        e0_size = len(e0)
+        m_values[v] = sum(m_values[k] for k in below) + e0_size
+        segs = [(0, c0, e0)]
+        if rows:
+            bound = capacity
+            if path_bounds is not None:
+                drops = path_bounds[v]
+                if drops and drops[0][0] == 1:
+                    bound = drops[0][1]
+                for i, b in drops:
+                    if i >= 2:
+                        changes.setdefault(i, []).append((-1, b))
+            e, c = _solve_row(below, current, eligibles, 1, bound, e0_size, name)
+            if c != c0 or e != e0:
+                segs.append((1, c, e))
+            for i in sorted(changes):
+                for pos, val in changes[i]:
+                    if pos < 0:
+                        bound = val
                     else:
-                        finite -= v
-                    chosen.append(idx)
-                else:
-                    exhausted = False
-                residual = INFINITE if infinites else finite
-                chosen.sort()
-                e_set = tuple(kids[idx] for idx in chosen)
+                        current[pos] = val
+                e, c = _solve_row(below, current, eligibles, i, bound, e0_size, name)
+                last = segs[-1]
+                if c != last[1] or e != last[2]:
+                    segs.append((i, c, e))
+        segments[v] = segs
 
-            if i == 0:
-                if exhausted:
-                    raise InfeasibleError(REASON_EXHAUSTED, (vid,))
-                e0_size = len(e_set)
-                c_val = residual
-                m_values[vid] = sum(m_values[k] for k in kids) + e0_size
-            elif exhausted or len(e_set) != e0_size:
-                c_val = INFINITE
-            else:
-                c_val = residual
-            crow.append(c_val)
-            erow.append(e_set)
-        c_rows[vid] = crow
-        e_rows[vid] = erow
-
-    return ContributionTable(
-        mode=mode,
-        max_range=star.max_leaf_qos,
-        depth=dict(depth),
-        c_rows=c_rows,
-        e_rows=e_rows,
-        m_values=m_values,
-        root_plus=star.root_plus,
-    )
+    return ContributionTable(mode, star, segments, m_values)

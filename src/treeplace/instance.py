@@ -38,6 +38,11 @@ RESERVED_NODE_IDS = frozenset({ARTIFICIAL_ROOT_ID})
 KIND_CLIENT = "client"
 KIND_INTERNAL = "internal"
 
+# Bandwidth semantics, shared by the solver and the verifier.
+MODE_PER_BUNDLE = "per-bundle"
+MODE_AGGREGATE = "aggregate"
+MODES = (MODE_PER_BUNDLE, MODE_AGGREGATE)
+
 _NODE_FIELDS = {"id", "parent", "kind", "bw", "w", "q"}
 _TOP_FIELDS = {"W", "nodes"}
 

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceededError
-from .instance import NetworkInstance
-from .verifier import MODE_PER_BUNDLE, verify_placement
+from .instance import MODE_PER_BUNDLE, NetworkInstance
+from .verifier import verify_placement
 
 DEFAULT_MAX_INTERNAL = 20
 

@@ -4,12 +4,15 @@ Starting at the artificial root with hop index 0, each visit of
 ``(v, i)`` equips the equip set ``e(v, i)``, then recurses into every
 child: equipped children restart at index 0, the rest carry ``i + 1``
 (their nearest equipped ancestor is one hop further away). Traversal is
-an explicit stack so degenerate path trees of depth 1e5 are fine.
+an explicit stack over star indices so degenerate path trees of depth
+1e5 are fine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from .contribution import ContributionTable
 from .errors import ContractViolationError, InfeasibleError
@@ -23,7 +26,15 @@ class PlacementResult:
     replicas_star: tuple[str, ...]  # star node ids, ascending
     replicas_original: tuple[str, ...]  # original internal node ids, ascending
     cardinality: int
-    trace: tuple[tuple[str, int, tuple[str, ...]], ...]  # (node, index, placed)
+    # (star index, hop index, equipped child indices) per visit, in visit order
+    visits: list = field(repr=False, compare=False)
+    ids: list[str] = field(repr=False, compare=False)  # star index -> id
+
+    @cached_property
+    def trace(self) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
+        """``(node, index, placed)`` per visit, by id; built on first read."""
+        ids = self.ids
+        return tuple((ids[v], i, tuple(ids[c] for c in e)) for v, i, e in self.visits)
 
 
 def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
@@ -34,39 +45,38 @@ def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
     resulting cardinality must equal the table's minimum count; any
     mismatch is a solver bug.
     """
-    children = star.children
-    by_id = star.by_id
-    placed: set[str] = set()
-    trace: list[tuple[str, int, tuple[str, ...]]] = []
+    kids = star.kids
+    eligibles = star.eligibles
+    row_at = table.row_at
+    placed: list[int] = []
+    visits: list[tuple[int, int, tuple]] = []
 
-    stack: list[tuple[str, int]] = [(star.root_plus, 0)]
+    stack: list[tuple[int, int]] = [(star.root, 0)]
     while stack:
-        vid, idx = stack.pop()
-        node = by_id[vid]
-        if node.leaf is not None and not node.leaf.eligible:
-            trace.append((vid, idx, ()))
+        v, idx = stack.pop()
+        if not eligibles[v]:  # a merged client bundle
+            visits.append((v, idx, ()))
             continue
-        e_set = table.equip_set(vid, idx)
-        trace.append((vid, idx, e_set))
-        placed.update(e_set)
-        e_lookup = set(e_set)
-        for child in reversed(children[vid]):
-            stack.append((child, 0 if child in e_lookup else idx + 1))
+        e_set = row_at(v, idx)[2]
+        visits.append((v, idx, e_set))
+        placed.extend(e_set)
+        stack.extend((c, 0 if c in e_set else idx + 1) for c in reversed(kids[v]))
 
-    for rid in placed:
-        leaf = by_id[rid].leaf
-        if leaf is not None and not leaf.eligible:
-            raise ContractViolationError(f"replica placed on ineligible leaf {rid!r}")
+    for r in placed:
+        if not eligibles[r]:
+            raise ContractViolationError(f"replica placed on ineligible leaf {star.ids[r]!r}")
     if len(placed) != table.min_replica_count:
         raise ContractViolationError(
             f"placed {len(placed)} replicas, tables promised {table.min_replica_count}"
         )
-    replicas = tuple(sorted(placed))
+    placed.sort()  # index order is id order
+    replicas = tuple(star.ids[r] for r in placed)
     return PlacementResult(
         replicas_star=replicas,
         replicas_original=map_replicas_to_original(replicas, star),
         cardinality=len(replicas),
-        trace=tuple(trace),
+        visits=visits,
+        ids=star.ids,
     )
 
 
@@ -74,19 +84,13 @@ def map_replicas_to_original(replicas: tuple[str, ...], star: StarTree) -> tuple
     """Project star replicas back onto original internal nodes.
 
     Internal star nodes are their own image; an eligible leaf stands in
-    for the internal node it replaced during normalization.
+    for the internal node it replaced during normalization and carries
+    its id, so the projection keeps every id.
     """
-    out = []
     for rid in replicas:
-        node = star.by_id[rid]
-        if node.leaf is None:
-            out.append(rid)
-        else:
-            origin = node.leaf.origin_internal
-            if origin is None:
-                raise ContractViolationError(f"ineligible leaf {rid!r} in replica set")
-            out.append(origin)
-    return tuple(sorted(out))
+        if not star.eligibles[star.index[rid]]:
+            raise ContractViolationError(f"ineligible leaf {rid!r} in replica set")
+    return tuple(sorted(replicas))
 
 
 def root_workload_check(star: StarTree, result: PlacementResult) -> None:
@@ -97,37 +101,31 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
     capacity; if not, nothing may be left over at the root, because no
     demand can cross the zero-bandwidth artificial link. A correct
     Phase 1 can never trip this; raising loudly beats returning a bogus
-    placement.
+    placement. One preorder pass carries each node's nearest equipped
+    ancestor-or-self (-1: none below the artificial root).
     """
-    equipped = set(result.replicas_star)
-    by_id = star.by_id
-    root_children = star.children[star.root_plus]
-    assert len(root_children) == 1
-    old_root = root_children[0]
+    equipped = {star.index[r] for r in result.replicas_star}
+    parents = star.parents
+    weights = star.weights
+    eligibles = star.eligibles
+    (old_root,) = star.kids[star.root]
 
+    server = [-1] * len(parents)
     root_load = 0
     unabsorbed = 0
-    for leaf_node in star.leaves:
-        leaf = leaf_node.leaf
-        assert leaf is not None
-        if leaf.weight == 0:
-            continue
-        cur = leaf_node
-        served_at = None
-        while True:
-            if cur.id in equipped and (cur.id != leaf_node.id or leaf.eligible):
-                served_at = cur.id
-                break
-            if cur.id == old_root:
-                break
-            cur = by_id[cur.parent]  # type: ignore[index]
-        if served_at is None:
-            unabsorbed += leaf.weight
-        elif served_at == old_root:
-            root_load += leaf.weight
+    for v in islice(star.preorder, 1, None):
+        s = v if v in equipped and eligibles[v] else server[parents[v]]
+        server[v] = s
+        weight = weights[v]
+        if weight:  # a demanding leaf
+            if s == old_root:
+                root_load += weight
+            elif s < 0:
+                unabsorbed += weight
 
+    old_root_id = star.ids[old_root]
     if old_root in equipped:
         if root_load > star.capacity:
-            raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root, root_load),))
+            raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root_id, root_load),))
     elif unabsorbed:
-        raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root, unabsorbed),))
+        raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root_id, unabsorbed),))

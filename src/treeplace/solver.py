@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contribution import MODE_PER_BUNDLE, ContributionTable, run_phase1
-from .instance import NetworkInstance
+from .contribution import ContributionTable, run_phase1
+from .instance import MODE_PER_BUNDLE, NetworkInstance
 from .placement import PlacementResult, place_replicas, root_workload_check
 from .transform import StarTree, transform_to_star
 

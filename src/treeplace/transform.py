@@ -15,18 +15,22 @@ the original tree in one pass:
 
 Zero-demand clients are excluded from the qos aggregation: an empty
 bundle constrains nothing.
+
+The result is built once as flat per-index arrays (see ``StarTree``);
+phase 1, placement and the root check run on those int indices, and ids
+come back only at output.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Any
 
-from .errors import ContractViolationError, InfeasibleError, StructureError
+from .errors import InfeasibleError, StructureError
 from .instance import (
     ARTIFICIAL_ROOT_ID,
     KIND_CLIENT,
@@ -73,17 +77,66 @@ class StarNode:
         return self.leaf is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarTree:
-    """The normalized tree. Every leaf is a StarLeaf; root is artificial."""
+    """The normalized tree as flat per-index arrays; the root is artificial.
+
+    A star index is the node's position in the instance's id-sorted node
+    list: a star internal node keeps its own index, an eligible leaf the
+    index of the parent it replaces (and its id), a merged leaf the index
+    of its smallest client. The artificial root takes index ``len(nodes)``.
+    Clients folded into a bundle leave holes (``depths[v] == -1``). So
+    index order is id order, and projecting a replica back onto the
+    original tree is the identity on indices.
+
+    The solver stages read the arrays. The id-keyed views (``nodes``,
+    ``by_id``, ``children``, ``depth``, ``leaves``, ``back_map``) are
+    built on first read only.
+    """
 
     capacity: int
     root_plus: str
-    nodes: tuple[StarNode, ...]
+    ids: list[str]  # index -> id
+    index: dict[str, int]  # star node id -> index
+    parents: list[int]  # -1 on the root and on holes
+    bws: list  # link to the parent: int, UNBOUNDED (merged leaf) or None (root)
+    weights: list  # bundle weight on leaves, None elsewhere
+    qoses: list[int]  # bundle qos on leaves
+    eligibles: list[bool]  # may host a replica: internal nodes and eligible leaves
+    bundles: list  # the bundled client indices (ascending) on leaves, None elsewhere
+    kids: list[tuple[int, ...]]  # id-ordered child indices
+    depths: list[int]  # hops up to the root; -1 on holes
+    preorder: list[int]  # parents before children, siblings in id order
+    max_leaf_qos: int
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.nodes, key=attrgetter("id")))
-        object.__setattr__(self, "nodes", ordered)
+    @property
+    def root(self) -> int:
+        return len(self.ids) - 1
+
+    @cached_property
+    def id_order(self) -> list[int]:
+        """Star indices in ascending id order."""
+        return sorted(self.preorder, key=self.ids.__getitem__)
+
+    def _node(self, v: int) -> StarNode:
+        ids = self.ids
+        parent = self.parents[v]
+        leaf = None
+        if self.weights[v] is not None:
+            eligible = self.eligibles[v]
+            leaf = StarLeaf(
+                id=ids[v],
+                weight=self.weights[v],
+                qos=self.qoses[v],
+                eligible=eligible,
+                origin_internal=ids[v] if eligible else None,
+                origin_clients=tuple(ids[c] for c in self.bundles[v]),
+            )
+        return StarNode(ids[v], None if parent < 0 else ids[parent], self.bws[v], leaf)
+
+    @cached_property
+    def nodes(self) -> tuple[StarNode, ...]:
+        return tuple(map(self._node, self.id_order))
 
     @cached_property
     def by_id(self) -> dict[str, StarNode]:
@@ -91,31 +144,17 @@ class StarTree:
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {}
-        for n in self.nodes:
-            if n.parent is not None:
-                table.setdefault(n.parent, []).append(n.id)
-        # id-sorted via node order
-        return {n.id: tuple(table.get(n.id, ())) for n in self.nodes}
+        ids = self.ids
+        return {ids[v]: tuple(ids[c] for c in self.kids[v]) for v in self.id_order}
 
     @cached_property
     def depth(self) -> dict[str, int]:
         """Hop count from each node up to the artificial root (which is 0)."""
-        out: dict[str, int] = {self.root_plus: 0}
-        stack = list(self.children[self.root_plus])
-        while stack:
-            cur = stack.pop()
-            out[cur] = out[self.by_id[cur].parent] + 1  # type: ignore[index]
-            stack.extend(self.children[cur])
-        return out
+        return {self.ids[v]: self.depths[v] for v in self.id_order}
 
     @cached_property
     def leaves(self) -> tuple[StarNode, ...]:
         return tuple(n for n in self.nodes if n.is_leaf)
-
-    @cached_property
-    def max_leaf_qos(self) -> int:
-        return max(n.leaf.qos for n in self.leaves)  # type: ignore[union-attr]
 
     @cached_property
     def back_map(self) -> dict[str, tuple[str, ...]]:
@@ -132,56 +171,26 @@ class StarTree:
         return out
 
 
-class _TreeBuilder:
-    """Mutable partial star tree used while the rules are applied."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.nodes: dict[str, StarNode] = {}
-
-    def add(self, node: StarNode) -> None:
-        if node.id in self.nodes:
-            raise ContractViolationError(f"star node {node.id!r} added twice")
-        self.nodes[node.id] = node
-
-    def freeze(self) -> StarTree:
-        return StarTree(
-            capacity=self.capacity,
-            root_plus=ARTIFICIAL_ROOT_ID,
-            nodes=tuple(self.nodes.values()),
-        )
-
-
-def add_artificial_root(inst: NetworkInstance) -> _TreeBuilder:
-    """Start a builder containing the artificial root and the old root.
-
-    The new link gets bandwidth 0 so no residual demand may cross it.
-    Calling this on a tree that already contains the artificial root is
-    a contract violation.
-    """
-    if ARTIFICIAL_ROOT_ID in (n.id for n in inst.nodes):
-        raise ContractViolationError("artificial root already present")
-    builder = _TreeBuilder(inst.capacity)
-    builder.add(StarNode(id=ARTIFICIAL_ROOT_ID, parent=None, bw=None, leaf=None))
-    return builder
-
-
-def _bundle(parent: NodeSpec, clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> StarLeaf:
-    # ``clients`` come in ascending id order, as NetworkInstance.children lists them.
+def _bundle_figures(clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> tuple[int, int]:
+    # ``clients`` come in ascending id order, as the instance lists them.
     weight = sum(c.w for c in clients)  # type: ignore[misc]
     demanding = [c.q for c in clients if c.w]  # zero-demand clients constrain nothing
     base = min(demanding) if demanding else min(c.q for c in clients)  # type: ignore[type-var]
     qos = base - 1 if suppressed else base
-    client_ids = tuple(c.id for c in clients)
     if qos < 0:
-        raise InfeasibleError(REASON_QOS, ((leaf_id, client_ids),))
+        raise InfeasibleError(REASON_QOS, ((leaf_id, tuple(c.id for c in clients)),))
+    return weight, qos
+
+
+def _bundle(parent: NodeSpec, clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> StarLeaf:
+    weight, qos = _bundle_figures(clients, suppressed=suppressed, leaf_id=leaf_id)
     return StarLeaf(
         id=leaf_id,
         weight=weight,
         qos=qos,
         eligible=suppressed,
         origin_internal=parent.id if suppressed else None,
-        origin_clients=client_ids,
+        origin_clients=tuple(c.id for c in clients),
     )
 
 
@@ -228,48 +237,95 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
         )
         raise InfeasibleError(reason, tuple(findings))
 
-    builder = add_artificial_root(inst)
-    root_id = inst.root.id
+    nodes = inst.nodes
+    root = len(nodes)
+    ids = [n.id for n in nodes]
+    ids.append(ARTIFICIAL_ROOT_ID)
+    # star node id -> index; only internal nodes can be parents
+    index = {n.id: v for v, n in enumerate(nodes) if n.kind != KIND_CLIENT}
+    ups = [index.get(n.parent, root) for n in nodes]  # type: ignore[arg-type]
+    index[ARTIFICIAL_ROOT_ID] = root
+    # the original child lists, split by kind, id-ordered because the nodes are
+    client_kids: dict[int, list[int]] = {}
+    inner_kids: dict[int, list[int]] = {}
+    for v, n in enumerate(nodes):
+        (client_kids if n.kind == KIND_CLIENT else inner_kids).setdefault(ups[v], []).append(v)
+
+    size = root + 1
+    parents = [-1] * size
+    bws: list = [None] * size
+    weights: list = [None] * size
+    qoses = [0] * size
+    eligibles = [True] * size
+    bundles: list = [None] * size
+    kids: list[tuple[int, ...]] = [()] * size
+    kids[root] = tuple(inner_kids[root])
+    capacity = inst.capacity
     heavy: list[tuple[str, int]] = []
-    for node in inst.nodes:
-        if node.kind == KIND_CLIENT:
+    max_qos = 0
+    for v, n in enumerate(nodes):
+        if n.kind == KIND_CLIENT:
             continue
-        kids = inst.children[node.id]
-        client_kids = [k for k in kids if k.kind == KIND_CLIENT]
-        link_bw: int | float = 0 if node.id == root_id else node.bw  # type: ignore[assignment]
-        parent_id = ARTIFICIAL_ROOT_ID if node.id == root_id else node.parent
-        if client_kids and len(client_kids) == len(kids):
-            leaf = suppress_clients(node, client_kids)
-            builder.add(StarNode(id=leaf.id, parent=parent_id, bw=link_bw, leaf=leaf))
-            if leaf.weight > inst.capacity:
-                heavy.append((leaf.id, leaf.weight))
+        up = ups[v]
+        parents[v] = up
+        bws[v] = 0 if up == root else n.bw
+        inner = inner_kids.get(v)
+        clients = client_kids.get(v)
+        if inner is None:
+            leaf = v  # suppressed: the node itself becomes an eligible leaf
+        elif clients is None:
+            kids[v] = tuple(inner)
+            continue
         else:
-            builder.add(StarNode(id=node.id, parent=parent_id, bw=link_bw, leaf=None))
-            if client_kids:
-                leaf = compress_clients(node, client_kids)
-                builder.add(StarNode(id=leaf.id, parent=node.id, bw=UNBOUNDED, leaf=leaf))
-                if leaf.weight > inst.capacity:
-                    heavy.append((leaf.id, leaf.weight))
+            leaf = clients[0]  # compressed: a merged leaf behind an unbounded link
+            index[ids[leaf]] = leaf
+            insort(inner, leaf)
+            kids[v] = tuple(inner)
+            parents[leaf] = v
+            bws[leaf] = UNBOUNDED
+            eligibles[leaf] = False
+        weight, qos = _bundle_figures(
+            [nodes[c] for c in clients], suppressed=leaf == v, leaf_id=ids[leaf]  # type: ignore[union-attr]
+        )
+        weights[leaf] = weight
+        qoses[leaf] = qos
+        bundles[leaf] = clients
+        max_qos = max(max_qos, qos)
+        if weight > capacity:
+            heavy.append((ids[leaf], weight))
     if heavy:
         raise InfeasibleError(REASON_BUNDLE, tuple(sorted(heavy)))
 
-    star = builder.freeze()
-    _check_star(star, inst)
-    return star
+    depths = [-1] * size
+    depths[root] = 0
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        below = kids[v]
+        if below:
+            d = depths[v] + 1
+            for c in below:
+                depths[c] = d
+            stack.extend(reversed(below))
 
-
-def _check_star(star: StarTree, inst: NetworkInstance) -> None:
-    # Structural invariants; any failure here is a transform bug.
-    for node in star.nodes:
-        kids = star.children[node.id]
-        if node.is_leaf and kids:
-            raise ContractViolationError(f"star leaf {node.id!r} has children")
-        if not node.is_leaf and not kids and node.id != star.root_plus:
-            raise ContractViolationError(f"star internal {node.id!r} lost its children")
-    total = sum(n.leaf.weight for n in star.leaves)  # type: ignore[union-attr]
-    original = sum(c.w for c in inst.clients)  # type: ignore[misc]
-    if total != original:
-        raise ContractViolationError("demand not conserved by the transformation")
+    return StarTree(
+        capacity=capacity,
+        root_plus=ARTIFICIAL_ROOT_ID,
+        ids=ids,
+        index=index,
+        parents=parents,
+        bws=bws,
+        weights=weights,
+        qoses=qoses,
+        eligibles=eligibles,
+        bundles=bundles,
+        kids=kids,
+        depths=depths,
+        preorder=preorder,
+        max_leaf_qos=max_qos,
+    )
 
 
 def star_to_document(star: StarTree) -> str:

@@ -24,11 +24,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import StructureError
-from .instance import NetworkInstance, NodeSpec
+from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, NetworkInstance, NodeSpec
 from .transform import StarTree
-
-MODE_PER_BUNDLE = "per-bundle"
-MODE_AGGREGATE = "aggregate"
 
 _UNBOUNDED = math.inf
 
@@ -161,7 +158,7 @@ def verify_placement(
     ``replicas`` must name internal nodes only; anything else is a
     caller contract breach, not a reportable violation.
     """
-    if mode not in (MODE_PER_BUNDLE, MODE_AGGREGATE):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     replica_set = set(replicas)
     by_id = inst.by_id

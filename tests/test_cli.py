@@ -104,6 +104,51 @@ def test_verify_report_matches_stored_text(tmp_path, capsys, fixture, mode):
     assert code == (0 if json.loads(out)["feasible"] else 2)
 
 
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+@pytest.mark.parametrize("fixture", ["worked_example", "shared_link"])
+def test_inspect_matches_stored_text(capsys, fixture, mode):
+    """The rendered tables, pinned byte for byte."""
+    code, out, _ = run(capsys, "inspect", str(FIXTURES / f"{fixture}.json"), "--mode", mode)
+    assert code == 0
+    assert out == (GOLDEN / f"inspect.{fixture}.{mode}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+@pytest.mark.parametrize("fixture", ["worked_example", "shared_link"])
+def test_solve_trace_matches_stored_text(capsys, fixture, mode):
+    """The solution with its placement trace, pinned byte for byte."""
+    code, out, _ = run(capsys, "solve", str(FIXTURES / f"{fixture}.json"), "--mode", mode, "--trace")
+    assert code == 0
+    assert out == (GOLDEN / f"solve-trace.{fixture}.{mode}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_solve_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled):
+    import gc
+
+    import treeplace.cli as cli
+
+    seen = []
+    solve = cli.solve_instance
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_instance", recording)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, "solve", WORKED)[0] == 0
+        after_solve = gc.isenabled()
+        assert run(capsys, "solve", "/nonexistent/path.json")[0] == 1
+        after_error = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after_solve is enabled and after_error is enabled
+
+
 def test_verify_rejects_bad_set(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"replicas": []}))

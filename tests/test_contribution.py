@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
+    MODE_PER_BUNDLE,
     greedy_e_set,
     internal_node_update,
     leaf_contribution,
@@ -14,7 +15,7 @@ from treeplace.contribution import (
     run_phase1,
 )
 from treeplace.errors import InfeasibleError
-from treeplace.generator import GenConfig, generate
+from treeplace.generator import SHAPES, GenConfig, generate
 from treeplace.transform import StarLeaf, transform_to_star
 
 INF = INFINITE
@@ -291,3 +292,43 @@ def test_leaf_rows_match_leaf_contribution(seed):
             for i in range(len(row))
         )
         assert row == expect, node.id
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
+    """Every internal row i, computed or carried over from row i - 1, is
+    internal_node_update of the children's values at i + 1 (clamped to their
+    last row) under the mode's bound. Mixed qos and narrow links make rows
+    change past index 1, so the change points are exercised."""
+    checked = changed = 0
+    for seed in range(30):
+        inst = generate(
+            GenConfig(seed=seed, internal=24, clients=40, capacity=20, shape=shape,
+                      weight_range=(0, 3), qos_range=(1, 8), bandwidth_range=(3, 10))
+        )
+        try:
+            star = transform_to_star(inst)
+            table = run_phase1(star, mode=mode)
+        except InfeasibleError:
+            continue
+        for node in table.nodes():
+            if star.by_id[node].leaf is not None:
+                continue
+            got = table.table(node)
+            for i in range(len(got.c_row)):
+                children = [
+                    (k, table.contribution(k, i + 1),
+                     star.by_id[k].leaf is None or star.by_id[k].leaf.eligible)
+                    for k in star.children[node]
+                ]
+                bound = star.capacity
+                if mode == MODE_AGGREGATE and i > 0:
+                    bound = min(bound, min_bw_on_path(star, node, i))
+                e0_size = None if i == 0 else len(got.e_row[0])
+                expect = internal_node_update(children, i, bound, e0_size)
+                assert (got.e_row[i], got.c_row[i]) == expect, (seed, node, i)
+                checked += 1
+                if i >= 2 and (got.c_row[i], got.e_row[i]) != (got.c_row[i - 1], got.e_row[i - 1]):
+                    changed += 1
+    assert checked > 1000 and changed > 100, (checked, changed)

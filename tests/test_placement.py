@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from treeplace.contribution import run_phase1
-from treeplace.errors import ContractViolationError
+from treeplace.errors import ContractViolationError, InfeasibleError
 from treeplace.instance import NodeSpec, NetworkInstance, parse_instance
 from treeplace.placement import (
+    REASON_ROOT_OVERLOAD,
     map_replicas_to_original,
     place_replicas,
     root_workload_check,
@@ -72,6 +74,35 @@ def test_trace_indices_match_equipped_distance(worked_example):
 def test_root_check_passes_on_worked_example(worked_example):
     star = transform_to_star(worked_example)
     result = place_replicas(star, run_phase1(star))
+    root_workload_check(star, result)  # must not raise
+
+
+@pytest.mark.parametrize(
+    "replicas, load",
+    [
+        ((), 59),  # nothing absorbs any demand
+        (("a",), 59),  # the old root takes everything
+        (("b", "c"), 27),  # d's subtree reaches the unequipped root
+        (("a", "b"), 52),
+        (("g", "i", "k", "p"), 30),
+        (("a", "x"), 59),  # a merged bundle cannot serve itself
+    ],
+)
+def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, load):
+    """Doctored sets: the detail is the old root with its own load when it
+    is equipped, else the demand nothing below it absorbs."""
+    star = transform_to_star(worked_example)
+    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas_star=replicas)
+    with pytest.raises(InfeasibleError) as err:
+        root_workload_check(star, result)
+    assert err.value.reason == REASON_ROOT_OVERLOAD
+    assert err.value.details == (("a", load),)
+
+
+def test_root_check_accepts_a_non_optimal_set_that_fits(worked_example):
+    star = transform_to_star(worked_example)
+    replicas = ("a", "b", "c", "d", "e", "g", "j")
+    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas_star=replicas)
     root_workload_check(star, result)  # must not raise
 
 

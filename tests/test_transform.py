@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treeplace.errors import ContractViolationError, InfeasibleError
+from treeplace.errors import InfeasibleError
 from treeplace.generator import GenConfig, generate
 from treeplace.instance import NodeSpec, parse_instance
 from treeplace.transform import (
@@ -12,9 +12,7 @@ from treeplace.transform import (
     REASON_LINK,
     REASON_QOS,
     UNBOUNDED,
-    StarNode,
     _bundle,
-    _TreeBuilder,
     compress_clients,
     star_to_document,
     suppress_clients,
@@ -196,13 +194,6 @@ def test_bundle_rejects_exhausted_qos():
             leaf_id="s",
         )
     assert err.value.reason == REASON_QOS
-
-
-def test_builder_rejects_duplicate_ids():
-    builder = _TreeBuilder(capacity=5)
-    builder.add(StarNode("a", None, None, None))
-    with pytest.raises(ContractViolationError):
-        builder.add(StarNode("a", None, None, None))
 
 
 def test_star_document_uses_null_for_unbounded(worked_example):
