@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InfeasibleError
 from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
@@ -57,9 +57,13 @@ def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
     residual sum exceeds the bound, the eligible child with the largest
     contribution is moved into the set (ties: smallest key). If eligible
     children run out first the result is marked exhausted; the partial
-    set is still reported.
+    set is still reported. When the whole sum already fits, nothing is
+    sorted and the set is empty.
     """
-    entries = sorted(items, key=lambda t: t[1])
+    entries = list(items)
+    total = sum([e[0] for e in entries])  # inf when some child cannot be absorbed
+    if total <= bound and total != INFINITE:
+        return GreedyResult((), total, False)
     finite = 0
     infinites = 0
     for contrib, _key, _elig in entries:
@@ -67,23 +71,23 @@ def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
             infinites += 1
         else:
             finite += contrib
-    # Largest contribution first; stable sort keeps ties in key order.
-    candidates = [e for e in entries if e[2]]
-    candidates.sort(key=lambda t: -t[0])
+    # Largest contribution first, ties in key order.
+    candidates = sorted([(-contrib, key) for contrib, key, elig in entries if elig])
     chosen: list = []
     pos = 0
     while infinites > 0 or finite > bound:
         if pos == len(candidates):
-            residual = INFINITE if infinites else finite
-            return GreedyResult(tuple(sorted(chosen)), residual, True)
-        contrib, key, _ = candidates[pos]
+            chosen.sort()
+            return GreedyResult(tuple(chosen), INFINITE if infinites else finite, True)
+        neg, key = candidates[pos]
         pos += 1
-        if contrib == INFINITE:
+        if neg == -INFINITE:
             infinites -= 1
         else:
-            finite -= contrib
+            finite += neg
         chosen.append(key)
-    return GreedyResult(tuple(sorted(chosen)), finite, False)
+    chosen.sort()
+    return GreedyResult(tuple(chosen), finite, False)
 
 
 def min_bw_on_path(star: StarTree, node_id: str, hops: int) -> int | float:
@@ -117,7 +121,7 @@ def leaf_contribution(leaf: StarLeaf, hops: int, path_min_bw: int | float) -> in
 
 
 def internal_node_update(
-    children: Sequence[tuple[str, int | float, bool]],
+    children: Iterable[tuple[str, int | float, bool]],
     hops: int,
     bound: int | float,
     e0_size: int | None = None,
@@ -132,7 +136,7 @@ def internal_node_update(
     deeper indices exhaustion (or an equip set that outgrew the
     ``hops = 0`` size ``e0_size``) just marks the row infinite.
     """
-    result = greedy_e_set(((c, cid, elig) for cid, c, elig in children), bound)
+    result = greedy_e_set([(c, cid, elig) for cid, c, elig in children], bound)
     if hops == 0:
         if result.exhausted:
             raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
@@ -242,16 +246,6 @@ def _path_bounds(star: StarTree, limit: int) -> list:
     return out
 
 
-def _solve_row(keys, vals, eligibles, hops, bound, e0_size, node):
-    """One internal row: nothing to equip when the children fit, else the greedy."""
-    total = sum(vals)  # inf when some child cannot be absorbed
-    if total <= bound:
-        return (), (total if hops == 0 or not e0_size else INFINITE)
-    return internal_node_update(
-        [(k, c, eligibles[k]) for k, c in zip(keys, vals)], hops, bound, e0_size, node
-    )
-
-
 def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable:
     """Fill every node's contribution rows bottom-up.
 
@@ -279,7 +273,7 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
     bws = star.bws
     weights = star.weights
     qoses = star.qoses
-    eligibles = star.eligibles
+    eligible = star.eligibles.__getitem__
     kids = star.kids
     depths = star.depths
     path_bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
@@ -329,7 +323,9 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
             current.append(c2)
 
         name = ids[v]
-        e0, c0 = _solve_row(below, at_one, eligibles, 0, capacity, None, name)
+        e0, c0 = internal_node_update(
+            zip(below, at_one, map(eligible, below)), 0, capacity, None, name
+        )
         e0_size = len(e0)
         m_values[v] = sum(m_values[k] for k in below) + e0_size
         segs = [(0, c0, e0)]
@@ -342,7 +338,9 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
                 for i, b in drops:
                     if i >= 2:
                         changes.setdefault(i, []).append((-1, b))
-            e, c = _solve_row(below, current, eligibles, 1, bound, e0_size, name)
+            e, c = internal_node_update(
+                zip(below, current, map(eligible, below)), 1, bound, e0_size, name
+            )
             if c != c0 or e != e0:
                 segs.append((1, c, e))
             for i in sorted(changes):
@@ -351,7 +349,9 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
                         bound = val
                     else:
                         current[pos] = val
-                e, c = _solve_row(below, current, eligibles, i, bound, e0_size, name)
+                e, c = internal_node_update(
+                    zip(below, current, map(eligible, below)), i, bound, e0_size, name
+                )
                 last = segs[-1]
                 if c != last[1] or e != last[2]:
                     segs.append((i, c, e))

@@ -23,12 +23,19 @@ REASON_ROOT_OVERLOAD = "workload at the root exceeds capacity"
 
 @dataclass(frozen=True)
 class PlacementResult:
+    """The replica set and the traversal that found it.
+
+    Equality covers the traversal (``visits`` and the ``ids`` they index),
+    so two results with different traces differ; the hash leaves those
+    lists out.
+    """
+
     replicas_star: tuple[str, ...]  # star node ids, ascending
     replicas_original: tuple[str, ...]  # original internal node ids, ascending
     cardinality: int
     # (star index, hop index, equipped child indices) per visit, in visit order
-    visits: list = field(repr=False, compare=False)
-    ids: list[str] = field(repr=False, compare=False)  # star index -> id
+    visits: list = field(repr=False, hash=False)
+    ids: list[str] = field(repr=False, hash=False)  # star index -> id
 
     @cached_property
     def trace(self) -> tuple[tuple[str, int, tuple[str, ...]], ...]:

@@ -172,7 +172,16 @@ class StarTree:
 
 
 def _bundle_figures(clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> tuple[int, int]:
-    # ``clients`` come in ascending id order, as the instance lists them.
+    """Weight and qos of the leaf that bundles ``clients``.
+
+    ``clients`` are one parent's client children in ascending id order.
+    A suppressed bundle (the parent of an all-client family becomes an
+    eligible leaf) takes min client qos - 1, for the hop from the
+    vanished clients up to the parent; a merged bundle of a mixed parent
+    keeps min client qos. Raises InfeasibleError("qos exhausted") if the
+    qos drops below zero (impossible for validated instances, where
+    q >= 1).
+    """
     weight = sum(c.w for c in clients)  # type: ignore[misc]
     demanding = [c.q for c in clients if c.w]  # zero-demand clients constrain nothing
     base = min(demanding) if demanding else min(c.q for c in clients)  # type: ignore[type-var]
@@ -180,40 +189,6 @@ def _bundle_figures(clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) 
     if qos < 0:
         raise InfeasibleError(REASON_QOS, ((leaf_id, tuple(c.id for c in clients)),))
     return weight, qos
-
-
-def _bundle(parent: NodeSpec, clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> StarLeaf:
-    weight, qos = _bundle_figures(clients, suppressed=suppressed, leaf_id=leaf_id)
-    return StarLeaf(
-        id=leaf_id,
-        weight=weight,
-        qos=qos,
-        eligible=suppressed,
-        origin_internal=parent.id if suppressed else None,
-        origin_clients=tuple(c.id for c in clients),
-    )
-
-
-def suppress_clients(parent: NodeSpec, clients: list[NodeSpec]) -> StarLeaf:
-    """Parent of an all-client family becomes an eligible leaf bundle.
-
-    ``clients`` are the parent's client children in ascending id order.
-    The -1 on the qos accounts for the hop from the vanished clients up
-    to the parent. Raises InfeasibleError("qos exhausted") if that drives
-    the qos below zero (impossible for validated instances, where q >= 1).
-    """
-    return _bundle(parent, clients, suppressed=True, leaf_id=parent.id)
-
-
-def compress_clients(parent: NodeSpec, clients: list[NodeSpec]) -> StarLeaf:
-    """Merge the client children of a mixed parent into one ineligible leaf.
-
-    ``clients`` are the parent's client children in ascending id order.
-    The merged leaf reuses the smallest client id and hangs from the
-    parent behind an unbounded artificial link: the first physical link
-    its bundle shares with anything is parent -> grandparent.
-    """
-    return _bundle(parent, clients, suppressed=False, leaf_id=clients[0].id)
 
 
 def transform_to_star(inst: NetworkInstance) -> StarTree:

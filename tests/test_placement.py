@@ -50,6 +50,18 @@ def test_worked_example_placement(worked_example):
     assert result.trace == WORKED_TRACE
 
 
+def test_result_equality_covers_the_trace(worked_example):
+    star = transform_to_star(worked_example)
+    result = place_replicas(star, run_phase1(star))
+    assert result == place_replicas(star, run_phase1(star))
+    assert hash(result) == hash(place_replicas(star, run_phase1(star)))
+    # same replicas, one visit fewer: the traces differ, so the results do
+    shorter = dataclasses.replace(result, visits=result.visits[:-1])
+    assert shorter.replicas_star == result.replicas_star
+    assert shorter.trace != result.trace
+    assert shorter != result
+
+
 def test_worked_example_increments_index_at_d(worked_example):
     """d is skipped at level 0, so its visit carries i=1 and places k."""
     star = transform_to_star(worked_example)

@@ -12,10 +12,8 @@ from treeplace.transform import (
     REASON_LINK,
     REASON_QOS,
     UNBOUNDED,
-    _bundle,
-    compress_clients,
+    _bundle_figures,
     star_to_document,
-    suppress_clients,
     transform_to_star,
 )
 
@@ -144,56 +142,77 @@ def test_merged_bundle_over_capacity_is_infeasible():
 
 def test_zero_weight_bundle_keeps_qos_of_all_clients():
     # no demanding client: the fallback range comes from the full group
-    parent = NodeSpec("s", "r", "internal", bw=7)
-    leaf = suppress_clients(
-        parent,
+    inst = build(
+        10,
         [
-            NodeSpec("c1", "s", "client", bw=3, w=0, q=2),
-            NodeSpec("c2", "s", "client", bw=3, w=0, q=5),
+            internal("r", None),
+            internal("s", "r", bw=7),
+            client("c1", "s", w=0, q=2, bw=3),
+            client("c2", "s", w=0, q=5, bw=3),
         ],
     )
-    assert leaf.weight == 0
-    assert leaf.qos == 1  # min(2, 5) - 1
+    star = transform_to_star(inst)
+    node = star.by_id["s"]
+    assert (node.parent, node.bw) == ("r", 7)
+    assert node.leaf.weight == 0
+    assert node.leaf.qos == 1  # min(2, 5) - 1
+    assert node.leaf.eligible
+    assert node.leaf.origin_internal == "s"
+    assert node.leaf.origin_clients == ("c1", "c2")
+    assert star.back_map["s"] == ("s", "c1", "c2")
 
 
 def test_suppression_ignores_zero_weight_qos_when_demand_exists():
-    parent = NodeSpec("s", "r", "internal", bw=7)
-    leaf = suppress_clients(
-        parent,
+    inst = build(
+        10,
         [
-            NodeSpec("c1", "s", "client", bw=3, w=0, q=1),
-            NodeSpec("c2", "s", "client", bw=3, w=4, q=5),
+            internal("r", None),
+            internal("s", "r", bw=7),
+            client("c1", "s", w=0, q=1, bw=3),
+            client("c2", "s", w=4, q=5, bw=9),
         ],
     )
+    leaf = transform_to_star(inst).by_id["s"].leaf
     # the q=1 client has no demand, so it must not tighten the range
     assert (leaf.weight, leaf.qos) == (4, 4)
+    assert leaf.eligible
 
 
 def test_compression_takes_min_qos_without_decrement():
-    parent = NodeSpec("s", "r", "internal", bw=7)
-    leaf = compress_clients(
-        parent,
+    inst = build(
+        10,
         [
-            NodeSpec("c2", "s", "client", bw=3, w=4, q=5),
-            NodeSpec("c9", "s", "client", bw=3, w=1, q=2),
+            internal("r", None),
+            internal("s", "r", bw=7),
+            client("c2", "s", w=4, q=5, bw=9),
+            client("c9", "s", w=1, q=2, bw=3),
+            internal("t", "s", bw=6),
+            client("z", "t", w=1, q=3, bw=3),
         ],
     )
-    assert leaf.id == "c2"  # smallest client id names the merge
+    star = transform_to_star(inst)
+    node = star.by_id["c2"]  # smallest client id names the merge
+    assert (node.parent, node.bw) == ("s", UNBOUNDED)
+    leaf = node.leaf
+    assert leaf.id == "c2"
     assert (leaf.weight, leaf.qos) == (5, 2)
     assert not leaf.eligible
+    assert leaf.origin_internal is None
+    assert leaf.origin_clients == ("c2", "c9")
+    assert "c9" not in star.by_id
+    assert star.children["s"] == ("c2", "t")
 
 
 def test_bundle_rejects_exhausted_qos():
     # only reachable with q=0 input, which documents cannot express
-    parent = NodeSpec("s", "r", "internal", bw=7)
     with pytest.raises(InfeasibleError) as err:
-        _bundle(
-            parent,
+        _bundle_figures(
             [NodeSpec("c1", "s", "client", bw=3, w=2, q=0)],
             suppressed=True,
             leaf_id="s",
         )
     assert err.value.reason == REASON_QOS
+    assert err.value.details == (("s", ("c1",)),)
 
 
 def test_star_document_uses_null_for_unbounded(worked_example):
