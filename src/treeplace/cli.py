@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from .contribution import run_phase1
 from .errors import (
     ConfigError,
-    GuardExceededError,
     InfeasibleError,
     MalformedDocumentError,
     SolverError,
@@ -200,8 +200,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("error: empty seed range", file=sys.stderr)
         return 1
     payloads = [(s, args.max_internal, args.max_clients) for s in seeds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1)  # the pool starts every worker at once
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_compare_one, payloads, chunksize=8))
     else:
         results = [_compare_one(p) for p in payloads]
@@ -472,13 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,10 +23,10 @@ accessors clamp instead of storing duplicates.
 
 Within that range a row is stored only where it differs from the row
 before it (a change point). A leaf has at most one: the hop where its
-bundle stops fitting. Row ``i >= 2`` of an internal node depends only on
-its children's values at ``i + 1`` and the bound, so it is computed only
-where one of those changes; memory stays within N * (L + 2) cells and the
-greedy runs only on rows whose inputs changed.
+bundle stops fitting. Row ``i`` of an internal node depends only on its
+children's values at ``i + 1`` and the bound, so row 0 is computed and
+row ``i >= 1`` only where one of those changes; memory stays within
+N * (L + 2) cells and the greedy runs only on rows whose inputs changed.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class GreedyResult(NamedTuple):
 def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
     """Equip children greedily until the residual fits under ``bound``.
 
-    ``items`` yields ``(contribution, key, eligible)`` triples. While the
+    ``items`` yields ``(key, contribution, eligible)`` triples. While the
     residual sum exceeds the bound, the eligible child with the largest
     contribution is moved into the set (ties: smallest key). If eligible
     children run out first the result is marked exhausted; the partial
@@ -61,18 +61,18 @@ def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
     sorted and the set is empty.
     """
     entries = list(items)
-    total = sum([e[0] for e in entries])  # inf when some child cannot be absorbed
+    total = sum([e[1] for e in entries])  # inf when some child cannot be absorbed
     if total <= bound and total != INFINITE:
         return GreedyResult((), total, False)
     finite = 0
     infinites = 0
-    for contrib, _key, _elig in entries:
+    for _key, contrib, _elig in entries:
         if contrib == INFINITE:
             infinites += 1
         else:
             finite += contrib
     # Largest contribution first, ties in key order.
-    candidates = sorted([(-contrib, key) for contrib, key, elig in entries if elig])
+    candidates = sorted([(-contrib, key) for key, contrib, elig in entries if elig])
     chosen: list = []
     pos = 0
     while infinites > 0 or finite > bound:
@@ -136,7 +136,7 @@ def internal_node_update(
     deeper indices exhaustion (or an equip set that outgrew the
     ``hops = 0`` size ``e0_size``) just marks the row infinite.
     """
-    result = greedy_e_set([(c, cid, elig) for cid, c, elig in children], bound)
+    result = greedy_e_set(children, bound)
     if hops == 0:
         if result.exhausted:
             raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
@@ -166,20 +166,15 @@ class ContributionTable:
     ``i``. The id-keyed accessors build their answers on each call.
     """
 
-    def __init__(self, mode: str, star: StarTree, segments: list, m_values: list[int]):
-        self.mode = mode
+    def __init__(self, star: StarTree, segments: list, m_values: list[int]):
         self.star = star
         self.segments = segments
         self._m = m_values
-        self.root_plus = star.root_plus
         self.min_replica_count: int = m_values[star.root]
 
     def nodes(self) -> tuple[str, ...]:
         ids = self.star.ids
         return tuple(ids[v] for v in self.star.id_order)
-
-    def depth_of(self, node: str) -> int:
-        return self.star.depths[self.star.index[node]]
 
     def row_at(self, v: int, hops: int) -> tuple:
         """The ``(j, c, e)`` segment holding row ``hops`` of star index ``v``."""
@@ -258,11 +253,12 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
     which makes the residual respect summed link flows. This is an
     extension without optimality guarantees.
 
-    Rows 0 and 1 of an internal node are computed in full. Row ``i >= 2``
-    is the same function of the children's values at ``i + 1`` and the
-    bound as row ``i - 1`` is of theirs at ``i``, so it is computed only
-    where some child's contribution or the bound changes, and is stored
-    only where it differs from row ``i - 1``.
+    Row 0 of an internal node is computed in full. Row ``i >= 1`` is the
+    same function of the children's values at ``i + 1`` and the bound as
+    row ``i - 1`` is of theirs at ``i`` (an unexhausted row 0 sets the
+    equip-set size that later rows must keep), so it is computed only
+    where some child's contribution changes at ``i + 1`` or the bound
+    drops at ``i``, and is stored only where it differs from row ``i - 1``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -301,60 +297,44 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
             continue
 
         below = kids[v]
-        at_one: list = []  # child values at index 1, for row 0
-        current: list = []  # child values at index 2, then at i + 1 as rows advance
-        changes: dict[int, list] = {}  # row i -> (child position, value at i + 1)
+        current: list = []  # child values at index 0, at i + 1 once row i's changes are in
+        changes: dict[int, list] = {}  # row i -> (child position, value at i + 1) or (-1, bound)
         for pos, k in enumerate(below):
             segs = segments[k]
-            c = c1 = c2 = segs[0][1]
+            c = segs[0][1]
+            current.append(c)
             for j, cj, _e in segs[1:]:
-                if cj == c:
-                    continue  # only the equip set changed
-                c = cj
-                if j <= 2:
-                    c2 = cj
-                    if j == 1:
-                        c1 = cj
-                elif j <= rows + 1:
-                    changes.setdefault(j - 1, []).append((pos, cj))
-                else:
+                if j > rows + 1:
                     break
-            at_one.append(c1)
-            current.append(c2)
+                if cj != c:  # not just a new equip set
+                    c = cj
+                    changes.setdefault(j - 1, []).append((pos, cj))
+        for pos, val in changes.pop(0, ()):
+            current[pos] = val
 
         name = ids[v]
         e0, c0 = internal_node_update(
-            zip(below, at_one, map(eligible, below)), 0, capacity, None, name
+            zip(below, current, map(eligible, below)), 0, capacity, None, name
         )
         e0_size = len(e0)
         m_values[v] = sum(m_values[k] for k in below) + e0_size
         segs = [(0, c0, e0)]
-        if rows:
-            bound = capacity
-            if path_bounds is not None:
-                drops = path_bounds[v]
-                if drops and drops[0][0] == 1:
-                    bound = drops[0][1]
-                for i, b in drops:
-                    if i >= 2:
-                        changes.setdefault(i, []).append((-1, b))
+        if path_bounds is not None:
+            for i, b in path_bounds[v]:
+                changes.setdefault(i, []).append((-1, b))
+        bound = capacity
+        for i in sorted(changes):
+            for pos, val in changes[i]:
+                if pos < 0:
+                    bound = val
+                else:
+                    current[pos] = val
             e, c = internal_node_update(
-                zip(below, current, map(eligible, below)), 1, bound, e0_size, name
+                zip(below, current, map(eligible, below)), i, bound, e0_size, name
             )
-            if c != c0 or e != e0:
-                segs.append((1, c, e))
-            for i in sorted(changes):
-                for pos, val in changes[i]:
-                    if pos < 0:
-                        bound = val
-                    else:
-                        current[pos] = val
-                e, c = internal_node_update(
-                    zip(below, current, map(eligible, below)), i, bound, e0_size, name
-                )
-                last = segs[-1]
-                if c != last[1] or e != last[2]:
-                    segs.append((i, c, e))
+            last = segs[-1]
+            if c != last[1] or e != last[2]:
+                segs.append((i, c, e))
         segments[v] = segs
 
-    return ContributionTable(mode, star, segments, m_values)
+    return ContributionTable(star, segments, m_values)

@@ -169,12 +169,6 @@ class DualRoleNetwork:
     bandwidth: dict[str, int]
     demand: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def root(self) -> str:
-        roots = [nid for nid, p in self.parents.items() if p is None]
-        if len(roots) != 1:
-            raise MalformedDocumentError(f"expected one root, found {len(roots)}")
-        return roots[0]
-
     def to_document(self) -> dict:
         return {
             "capacity": self.capacity,

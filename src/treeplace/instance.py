@@ -24,7 +24,7 @@ artificial root added by the transformation stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -87,7 +87,7 @@ class NetworkInstance:
 
     Node order is normalized to ascending id so that value equality and
     serialization are canonical. The derived accessors (``by_id``,
-    ``children`` ...) assume the instance passed validation; check
+    ``clients`` ...) assume the instance passed validation; check
     ``violations`` first for untrusted data.
     """
 
@@ -106,22 +106,6 @@ class NetworkInstance:
     @cached_property
     def by_id(self) -> dict[str, NodeSpec]:
         return {n.id: n for n in self.nodes}
-
-    @cached_property
-    def root(self) -> NodeSpec:
-        roots = [n for n in self.nodes if n.parent is None]
-        if len(roots) != 1:
-            raise StructureError(f"expected exactly one root, found {len(roots)}")
-        return roots[0]
-
-    @cached_property
-    def children(self) -> dict[str, tuple[NodeSpec, ...]]:
-        table: dict[str, list[NodeSpec]] = {}
-        for n in self.nodes:
-            if n.parent is not None:
-                table.setdefault(n.parent, []).append(n)
-        # self.nodes is id-sorted, so each child list is already sorted
-        return {n.id: tuple(table.get(n.id, ())) for n in self.nodes}
 
     @cached_property
     def clients(self) -> tuple[NodeSpec, ...]:
@@ -340,8 +324,3 @@ def precheck_client_links(inst: NetworkInstance) -> list[PrecheckFinding]:
         if c.w > inst.capacity:
             out.append(PrecheckFinding(c.id, "capacity", c.w, inst.capacity))
     return out
-
-
-def instance_signature(inst: NetworkInstance) -> tuple:
-    """Hashable value identity, handy for caching in tests."""
-    return (inst.capacity, tuple((f.name, getattr(n, f.name)) for n in inst.nodes for f in fields(n)))

@@ -30,7 +30,6 @@ class PlacementResult:
     lists out.
     """
 
-    replicas_star: tuple[str, ...]  # star node ids, ascending
     replicas_original: tuple[str, ...]  # original internal node ids, ascending
     cardinality: int
     # (star index, hop index, equipped child indices) per visit, in visit order
@@ -76,28 +75,13 @@ def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
         raise ContractViolationError(
             f"placed {len(placed)} replicas, tables promised {table.min_replica_count}"
         )
-    placed.sort()  # index order is id order
-    replicas = tuple(star.ids[r] for r in placed)
+    placed.sort()  # index order is id order; a star id is the original node's id
     return PlacementResult(
-        replicas_star=replicas,
-        replicas_original=map_replicas_to_original(replicas, star),
-        cardinality=len(replicas),
+        replicas_original=tuple(star.ids[r] for r in placed),
+        cardinality=len(placed),
         visits=visits,
         ids=star.ids,
     )
-
-
-def map_replicas_to_original(replicas: tuple[str, ...], star: StarTree) -> tuple[str, ...]:
-    """Project star replicas back onto original internal nodes.
-
-    Internal star nodes are their own image; an eligible leaf stands in
-    for the internal node it replaced during normalization and carries
-    its id, so the projection keeps every id.
-    """
-    for rid in replicas:
-        if not star.eligibles[star.index[rid]]:
-            raise ContractViolationError(f"ineligible leaf {rid!r} in replica set")
-    return tuple(sorted(replicas))
 
 
 def root_workload_check(star: StarTree, result: PlacementResult) -> None:
@@ -111,7 +95,7 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
     placement. One preorder pass carries each node's nearest equipped
     ancestor-or-self (-1: none below the artificial root).
     """
-    equipped = {star.index[r] for r in result.replicas_star}
+    equipped = {star.index[r] for r in result.replicas_original}
     parents = star.parents
     weights = star.weights
     eligibles = star.eligibles

@@ -90,8 +90,7 @@ class StarTree:
     original tree is the identity on indices.
 
     The solver stages read the arrays. The id-keyed views (``nodes``,
-    ``by_id``, ``children``, ``depth``, ``leaves``, ``back_map``) are
-    built on first read only.
+    ``by_id``, ``depth``, ``leaves``) are built on first read only.
     """
 
     capacity: int
@@ -143,11 +142,6 @@ class StarTree:
         return {n.id: n for n in self.nodes}
 
     @cached_property
-    def children(self) -> dict[str, tuple[str, ...]]:
-        ids = self.ids
-        return {ids[v]: tuple(ids[c] for c in self.kids[v]) for v in self.id_order}
-
-    @cached_property
     def depth(self) -> dict[str, int]:
         """Hop count from each node up to the artificial root (which is 0)."""
         return {self.ids[v]: self.depths[v] for v in self.id_order}
@@ -155,20 +149,6 @@ class StarTree:
     @cached_property
     def leaves(self) -> tuple[StarNode, ...]:
         return tuple(n for n in self.nodes if n.is_leaf)
-
-    @cached_property
-    def back_map(self) -> dict[str, tuple[str, ...]]:
-        """Star node id -> original node ids it represents."""
-        out: dict[str, tuple[str, ...]] = {}
-        for n in self.nodes:
-            if n.id == self.root_plus:
-                out[n.id] = ()
-            elif n.leaf is None:
-                out[n.id] = (n.id,)
-            else:
-                origin = () if n.leaf.origin_internal is None else (n.leaf.origin_internal,)
-                out[n.id] = origin + n.leaf.origin_clients
-        return out
 
 
 def _bundle_figures(clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> tuple[int, int]:

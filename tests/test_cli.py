@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import treeplace.cli as cli
 from treeplace.cli import AGGREGATE_NOTICE, main
 from tests.conftest import FIXTURES, load_fixture_text
 
@@ -343,6 +344,37 @@ def test_compare_small_range(capsys):
     assert len(lines) == 6
     assert all(": agree " in l for l in lines[:-1])
     assert lines[-1] == "agreed 5/5"
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, pools",
+    [(3, 1000, [3]), (8, 2, [2]), (None, 1000, []), (4, 1, [])],
+)
+def test_compare_caps_jobs_at_the_cpu_count(monkeypatch, capsys, cpus, jobs, pools):
+    """The pool starts all its workers at once, so --jobs is capped at the
+    cpu count; a cap of 1 runs in this process. The fake pool only records
+    its size and maps in this process."""
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, "compare", "--seeds", "0:2", "--jobs", str(jobs))
+    assert code == 0
+    assert out.splitlines()[-1] == "agreed 3/3"
+    assert made == pools
 
 
 def test_compare_bad_seed_spec(capsys):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeplace import contribution
 from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
@@ -16,6 +18,7 @@ from treeplace.contribution import (
 )
 from treeplace.errors import InfeasibleError
 from treeplace.generator import SHAPES, GenConfig, generate
+from treeplace.instance import parse_instance
 from treeplace.transform import StarLeaf, transform_to_star
 
 INF = INFINITE
@@ -79,27 +82,27 @@ def test_zero_weight_leaf_contributes_zero_everywhere():
 
 
 def test_greedy_two_children_removes_biggest():
-    res = greedy_e_set([(4, "o", True), (12, "p", True)], bound=15)
+    res = greedy_e_set([("o", 4, True), ("p", 12, True)], bound=15)
     assert res.selected == ("p",)
     assert res.residual == 4
     assert not res.exhausted
 
 
 def test_greedy_tie_breaks_on_smallest_id():
-    res = greedy_e_set([(9, "zz", True), (9, "aa", True)], bound=10)
+    res = greedy_e_set([("zz", 9, True), ("aa", 9, True)], bound=10)
     assert res.selected == ("aa",)
     assert res.residual == 9
 
 
 def test_greedy_ineligible_overload_exhausts():
-    res = greedy_e_set([(20, "x", False)], bound=15)
+    res = greedy_e_set([("x", 20, False)], bound=15)
     assert res.exhausted
     assert res.selected == ()
     assert res.residual == 20
 
 
 def test_greedy_unremovable_infinite_exhausts():
-    res = greedy_e_set([(INF, "x", False), (2, "a", True)], bound=15)
+    res = greedy_e_set([("x", INF, False), ("a", 2, True)], bound=15)
     assert res.exhausted
     assert res.selected == ("a",)
     assert res.residual == INF
@@ -123,20 +126,20 @@ def test_greedy_empty_children():
 )
 @settings(max_examples=300, deadline=None)
 def test_greedy_properties(items, bound):
-    triples = [(c, f"k{num:02d}_{j}", e) for j, (c, num, e) in enumerate(items)]
+    triples = [(f"k{num:02d}_{j}", c, e) for j, (c, num, e) in enumerate(items)]
     res = greedy_e_set(triples, bound)
-    by_key = dict((k, (c, e)) for c, k, e in triples)
+    by_key = dict((k, (c, e)) for k, c, e in triples)
     # only eligible children are ever picked, each at most once
     assert len(set(res.selected)) == len(res.selected)
     assert all(by_key[k][1] for k in res.selected)
     if res.exhausted:
         # everything eligible is in, and the rest still does not fit
-        assert set(res.selected) == {k for c, k, e in triples if e}
-        left = [c for c, k, e in triples if k not in set(res.selected)]
+        assert set(res.selected) == {k for k, c, e in triples if e}
+        left = [c for k, c, e in triples if k not in set(res.selected)]
         assert any(c == INF for c in left) or sum(left) > bound
         assert res.residual == (INF if any(c == INF for c in left) else sum(left))
     else:
-        left = [c for c, k, e in triples if k not in set(res.selected)]
+        left = [c for k, c, e in triples if k not in set(res.selected)]
         assert res.residual == sum(left) <= bound
         # greedy certificate: putting any chosen child back breaks the bound
         for k in res.selected:
@@ -247,6 +250,36 @@ def test_unknown_mode_rejected(shared_link):
         run_phase1(transform_to_star(shared_link), mode="strict")
 
 
+def test_rows_past_zero_are_computed_only_where_inputs_change(monkeypatch):
+    """Every bundle has qos 0, so each child value changes at index 1 and
+    never again, and per-bundle mode has no bound drops: row 0 is the one
+    greedy call per internal node."""
+    doc = {"W": 10, "nodes": [
+        {"id": "r", "parent": None, "kind": "internal"},
+        {"id": "a", "parent": "r", "kind": "internal", "bw": 9},
+        {"id": "u", "parent": "r", "kind": "internal", "bw": 9},
+        {"id": "s", "parent": "a", "kind": "internal", "bw": 9},
+        {"id": "t", "parent": "a", "kind": "internal", "bw": 9},
+    ] + [
+        {"id": f"c{p}", "parent": p, "kind": "client", "bw": 5, "w": 2, "q": 1}
+        for p in "stu"
+    ]}
+    star = transform_to_star(parse_instance(json.dumps(doc)))
+    calls = []
+    real = contribution.internal_node_update
+    monkeypatch.setattr(
+        contribution, "internal_node_update",
+        lambda children, hops, *rest: calls.append(hops) or real(children, hops, *rest),
+    )
+    table = run_phase1(star)
+    internal = [v for v in star.preorder if star.weights[v] is None]
+    assert len(internal) == 3  # the artificial root, r and a
+    assert calls == [0] * len(internal)
+    assert table.min_replica_count == 3
+    assert table.table("a").c_row == (0, 0)
+    assert table.table("a").e_row == (("s", "t"), ("s", "t"))
+
+
 # --- randomized invariants (small sample; the large battery lives in the
 # acceptance suite) --------------------------------------------------------
 
@@ -316,11 +349,12 @@ def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
             if star.by_id[node].leaf is not None:
                 continue
             got = table.table(node)
+            kids = [star.ids[k] for k in star.kids[star.index[node]]]
             for i in range(len(got.c_row)):
                 children = [
                     (k, table.contribution(k, i + 1),
                      star.by_id[k].leaf is None or star.by_id[k].leaf.eligible)
-                    for k in star.children[node]
+                    for k in kids
                 ]
                 bound = star.capacity
                 if mode == MODE_AGGREGATE and i > 0:

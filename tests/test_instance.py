@@ -8,7 +8,6 @@ from treeplace.generator import GenConfig, generate
 from treeplace.instance import (
     NetworkInstance,
     NodeSpec,
-    instance_signature,
     parse_instance,
     precheck_client_links,
     serialize_instance,
@@ -35,7 +34,7 @@ def doc(**overrides):
 def test_parse_minimal():
     inst = parse_instance(json.dumps(MINIMAL))
     assert inst.capacity == 10
-    assert inst.root.id == "r"
+    assert [n.id for n in inst.nodes if n.parent is None] == ["r"]
     assert [c.id for c in inst.clients] == ["c"]
     assert inst.internal_ids == ("r",)
 
@@ -63,9 +62,7 @@ def test_node_order_is_normalized():
         ),
     )
     assert [n.id for n in a.nodes] == ["a", "b"]
-    assert instance_signature(a) == instance_signature(
-        NetworkInstance(capacity=5, nodes=tuple(reversed(a.nodes)))
-    )
+    assert a == NetworkInstance(capacity=5, nodes=tuple(reversed(a.nodes)))
 
 
 @pytest.mark.parametrize(
@@ -172,12 +169,6 @@ def test_precheck_flags_demand_over_capacity():
 
 def test_precheck_clean(worked_example):
     assert precheck_client_links(worked_example) == []
-
-
-def test_children_accessor_sorted(worked_example):
-    for parent, kids in worked_example.children.items():
-        ids = [k.id for k in kids]
-        assert ids == sorted(ids)
 
 
 def _reference_serialization(inst):

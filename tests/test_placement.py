@@ -8,7 +8,6 @@ from treeplace.errors import ContractViolationError, InfeasibleError
 from treeplace.instance import NodeSpec, NetworkInstance, parse_instance
 from treeplace.placement import (
     REASON_ROOT_OVERLOAD,
-    map_replicas_to_original,
     place_replicas,
     root_workload_check,
 )
@@ -44,7 +43,6 @@ def test_worked_example_placement(worked_example):
     star = transform_to_star(worked_example)
     table = run_phase1(star)
     result = place_replicas(star, table)
-    assert result.replicas_star == ("a", "b", "c", "g", "i", "k", "p")
     assert result.replicas_original == ("a", "b", "c", "g", "i", "k", "p")
     assert result.cardinality == table.min_replica_count == 7
     assert result.trace == WORKED_TRACE
@@ -57,7 +55,7 @@ def test_result_equality_covers_the_trace(worked_example):
     assert hash(result) == hash(place_replicas(star, run_phase1(star)))
     # same replicas, one visit fewer: the traces differ, so the results do
     shorter = dataclasses.replace(result, visits=result.visits[:-1])
-    assert shorter.replicas_star == result.replicas_star
+    assert shorter.replicas_original == result.replicas_original
     assert shorter.trace != result.trace
     assert shorter != result
 
@@ -72,7 +70,7 @@ def test_worked_example_increments_index_at_d(worked_example):
 def test_trace_indices_match_equipped_distance(worked_example):
     star = transform_to_star(worked_example)
     result = place_replicas(star, run_phase1(star))
-    equipped = set(result.replicas_star)
+    equipped = set(result.replicas_original)
     parent = {n.id: n.parent for n in star.nodes}
     for node, idx, _placed in result.trace:
         # the index is the hop count to the nearest equipped node on the
@@ -104,7 +102,7 @@ def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, lo
     """Doctored sets: the detail is the old root with its own load when it
     is equipped, else the demand nothing below it absorbs."""
     star = transform_to_star(worked_example)
-    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas_star=replicas)
+    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas_original=replicas)
     with pytest.raises(InfeasibleError) as err:
         root_workload_check(star, result)
     assert err.value.reason == REASON_ROOT_OVERLOAD
@@ -114,7 +112,7 @@ def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, lo
 def test_root_check_accepts_a_non_optimal_set_that_fits(worked_example):
     star = transform_to_star(worked_example)
     replicas = ("a", "b", "c", "d", "e", "g", "j")
-    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas_star=replicas)
+    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas_original=replicas)
     root_workload_check(star, result)  # must not raise
 
 
@@ -136,11 +134,9 @@ def test_single_leaf_micro():
     assert table.equip_set(star.root_plus, 0) == ("r",)
     result = place_replicas(star, table)
     assert result.cardinality == 1
-    assert result.replicas_star == ("r",)
-    # the replica lives on an eligible leaf; projection restores the
-    # original internal node id
+    # the replica lives on an eligible leaf, which keeps the id of the
+    # original internal node it replaced
     assert result.replicas_original == ("r",)
-    assert map_replicas_to_original(("r",), star) == ("r",)
 
 
 def test_deep_path_tree_no_recursion_limit():
@@ -158,6 +154,9 @@ def test_deep_path_tree_no_recursion_limit():
 
 
 def test_map_rejects_ineligible_leaf(worked_example):
+    """A table that equips the merged leaf x is a solver bug, not a placement."""
     star = transform_to_star(worked_example)
-    with pytest.raises(ContractViolationError):
-        map_replicas_to_original(("x",), star)
+    table = run_phase1(star)
+    table.segments[star.root] = [(0, 0, (star.index["x"],))]
+    with pytest.raises(ContractViolationError, match="ineligible leaf 'x'"):
+        place_replicas(star, table)
