@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .contribution import run_phase1
 from .errors import (
-    ConfigError,
     InfeasibleError,
     MalformedDocumentError,
     SolverError,
@@ -39,11 +38,13 @@ from .instance import (
     MODE_AGGREGATE,
     MODE_PER_BUNDLE,
     MODES,
+    load_document,
     parse_instance,
     require_valid,
     serialize_instance,
 )
 from .oracle import DEFAULT_MAX_INTERNAL, brute_force_min
+from .placement import place_replicas, root_workload_check
 from .solver import solve_instance
 from .transform import star_to_document, transform_to_star
 from .verifier import verify_placement
@@ -55,10 +56,13 @@ AGGREGATE_NOTICE = (
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedDocumentError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -79,10 +83,7 @@ def _mode_notice(mode: str) -> None:
 
 
 def _load_replica_list(text: str) -> list[str]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(f"solution is not valid JSON: {exc}") from exc
+    doc = load_document(text, "solution is not valid JSON")
     if not isinstance(doc, dict) or "replicas" not in doc:
         raise MalformedDocumentError("solution document must carry a replicas array")
     reps = doc["replicas"]
@@ -172,18 +173,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if result.feasible else 2
 
 
-def _solver_count(inst) -> int | None:
-    try:
-        return solve_instance(inst).cardinality
-    except InfeasibleError:
-        return None
-
-
 def _compare_one(payload: tuple[int, int, int]) -> tuple[int, int | None, int | None]:
     seed, max_internal, max_clients = payload
     cfg = small_corpus_config(seed, max_internal=max_internal, max_clients=max_clients)
     inst = generate(cfg)
-    return seed, _solver_count(inst), brute_force_min(inst).minimum
+    try:
+        ours = solve_instance(inst).cardinality
+    except InfeasibleError:
+        ours = None
+    return seed, ours, brute_force_min(inst).minimum
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -365,7 +363,40 @@ def bench_once(n: int, qos: int, seed: int = 7) -> float:
     return time.perf_counter() - start
 
 
+BENCH_STAGES = ("parse", "transform", "phase1", "place", "root_check", "verify", "write")
+
+
+def bench_stages(n: int, qos: int, seed: int = 7) -> tuple[int, list[float]]:
+    """The node count and the seconds of each of ``BENCH_STAGES`` in one
+    solve of a generated ~n-node document, from its text to the written
+    result, with the collector paused as ``solve`` pauses it."""
+    text = serialize_instance(generate(bench_config(n, qos, seed)))
+
+    def lap(value):
+        marks.append(time.perf_counter())
+        return value
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    marks = [time.perf_counter()]
+    try:
+        inst = lap(parse_instance(text))  # validation included
+        star = lap(transform_to_star(inst))
+        placement = lap(place_replicas(star, lap(run_phase1(star))))
+        lap(root_workload_check(star, placement))
+        lap(verify_placement(inst, set(placement.replicas_original)))
+        doc = {"feasible": True, "mode": MODE_PER_BUNDLE,
+               "replicas": list(placement.replicas_original), "count": placement.cardinality}
+        lap(_write_text(os.devnull, _dump(doc)))
+    finally:
+        if was_enabled:
+            gc.enable()
+    return len(inst.ids), [b - a for a, b in zip(marks, marks[1:])]
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    import resource  # only here, so that start-up imports what it did before
+
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         qos_values = [int(q) for q in args.qos.split(",") if q.strip()]
@@ -375,10 +406,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not sizes or not qos_values:
         print("error: empty bench sweep", file=sys.stderr)
         return 1
+    runs = []
     for qos in qos_values:
         for n in sizes:
-            seconds = bench_once(n, qos, args.seed)
-            print(f"N={n} L={qos} t={seconds:.3f}s")
+            nodes, seconds = bench_stages(n, qos, args.seed)
+            print(f"N={n} L={qos} t={sum(seconds):.3f}s ({nodes} nodes)")
+            ns = [s / nodes * 1e9 for s in seconds]
+            for stage, s, per_node in zip(BENCH_STAGES, seconds, ns):
+                print(f"  {stage:<10} {s:9.4f}s {per_node:9.0f} ns/node")
+            runs.append({"n": n, "qos": qos, "nodes": nodes, "seconds": dict(zip(BENCH_STAGES, seconds)),
+                         "ns_per_node": dict(zip(BENCH_STAGES, ns))})
+    maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS (ru_maxrss) {maxrss_mib:.1f} MiB")
+    if args.json:
+        _write_text(args.json, _dump({"seed": args.seed, "ru_maxrss_mib": maxrss_mib, "runs": runs}))
     return 0
 
 
@@ -456,10 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("bench", help="timing sweep over generated instances")
+    p = sub.add_parser("bench", help="per-stage timing sweep over generated documents")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
     p.add_argument("--qos", default="8", help="comma-separated qos levels")
     p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--json", metavar="PATH", help="also write the figures as JSON")
     p.set_defaults(func=cmd_bench)
 
     return parser

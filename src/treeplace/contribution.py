@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InfeasibleError
 from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
-from .transform import StarLeaf, StarTree
+from .transform import StarTree
 
 INFINITE = math.inf
 
@@ -88,36 +88,6 @@ def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
         chosen.append(key)
     chosen.sort()
     return GreedyResult(tuple(chosen), finite, False)
-
-
-def min_bw_on_path(star: StarTree, node_id: str, hops: int) -> int | float:
-    """Smallest bandwidth on the ``hops``-edge path from a node upward.
-
-    ``hops = 0`` is the empty path (unbounded). Raises ValueError when
-    the path would run past the artificial root.
-    """
-    v = star.index[node_id]
-    if hops < 0 or hops > star.depths[v]:
-        raise ValueError(f"path of {hops} hops from {node_id!r} is out of range")
-    best: int | float = INFINITE
-    for _ in range(hops):
-        best = min(best, star.bws[v])
-        v = star.parents[v]
-    return best
-
-
-def leaf_contribution(leaf: StarLeaf, hops: int, path_min_bw: int | float) -> int | float:
-    """Workload a leaf bundle pushes onto the ancestor ``hops`` above it.
-
-    Finite exactly when the ancestor is within the bundle's qos range and
-    the bundle fits through every link on the way. Zero-demand bundles
-    constrain nothing and contribute 0 at every index.
-    """
-    if leaf.weight == 0:
-        return 0
-    if hops <= leaf.qos and leaf.weight <= path_min_bw:
-        return leaf.weight
-    return INFINITE
 
 
 def internal_node_update(
@@ -280,10 +250,9 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
         rows = min(depths[v], limit)
         weight = weights[v]
         if weight is not None:
-            # The leaf row (leaf_contribution over the path minimum) is the
-            # weight up to the first hop past the qos or through a link
-            # narrower than the weight, infinite from there on; zero-demand
-            # bundles contribute 0 throughout.
+            # A leaf's row is its weight up to the first hop past the qos or
+            # through a link narrower than the weight, infinite from there
+            # on; zero-demand bundles contribute 0 throughout.
             segments[v] = [(0, weight, ())]
             if weight:
                 reach = min(rows, qoses[v])

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, MalformedDocumentError, StructureError
-from .instance import NetworkInstance, NodeSpec
+from .instance import KIND_CLIENT, KIND_INTERNAL, NetworkInstance, load_document
 
 SHAPES = ("balanced", "path", "random")
 
@@ -105,23 +105,18 @@ def generate(cfg: GenConfig) -> NetworkInstance:
     hosts += [internal_ids[rng.randrange(len(internal_ids))] for _ in range(cfg.clients - len(childless))]
     rng.shuffle(hosts)
 
-    nodes = []
-    for nid in internal_ids:
-        parent = parents[nid]
-        bw = None if parent is None else rng.randint(*cfg.bandwidth_range)
-        nodes.append(NodeSpec(id=nid, parent=parent, kind="internal", bw=bw))
-    for k, host in enumerate(hosts):
-        nodes.append(
-            NodeSpec(
-                id=f"c{k:03d}",
-                parent=host,
-                kind="client",
-                bw=rng.randint(*cfg.bandwidth_range),
-                w=rng.randint(*cfg.weight_range),
-                q=rng.randint(*cfg.qos_range),
-            )
-        )
-    inst = NetworkInstance(capacity=cfg.capacity, nodes=tuple(nodes))
+    # the columns directly: internal nodes, then clients, each drawing bw (w, q)
+    n_int = len(internal_ids)
+    ids = internal_ids + [f"c{k:03d}" for k in range(len(hosts))]
+    up_ids = [parents[nid] for nid in internal_ids] + hosts
+    bws = [None if parent is None else rng.randint(*cfg.bandwidth_range) for parent in up_ids[:n_int]]
+    ws, qs = [None] * n_int, [None] * n_int
+    for _host in hosts:
+        bws.append(rng.randint(*cfg.bandwidth_range))
+        ws.append(rng.randint(*cfg.weight_range))
+        qs.append(rng.randint(*cfg.qos_range))
+    kinds = [KIND_INTERNAL] * n_int + [KIND_CLIENT] * len(hosts)
+    inst = NetworkInstance.from_columns(cfg.capacity, ids, up_ids, kinds, bws, ws, qs)
     if inst.violations:  # pragma: no cover - would be a generator bug
         raise ConfigError(f"generated an invalid instance: {inst.violations[0].message}")
     return inst
@@ -225,30 +220,14 @@ def fictivize(net: DualRoleNetwork) -> NetworkInstance:
     if not keep:
         raise ConfigError("network has no demand anywhere")
 
-    nodes = []
+    rows = []  # (id, parent, kind, bw, w, q)
     for nid in sorted(keep):
         parent = net.parents[nid]
-        nodes.append(
-            NodeSpec(
-                id=nid,
-                parent=parent,
-                kind="internal",
-                bw=None if parent is None else net.bandwidth[nid],
-            )
-        )
+        rows.append((nid, parent, KIND_INTERNAL, None if parent is None else net.bandwidth[nid], None, None))
         w, q = net.demand.get(nid, (0, 0))
         if w > 0:
-            nodes.append(
-                NodeSpec(
-                    id=f"{nid}_req",
-                    parent=nid,
-                    kind="client",
-                    bw=total,
-                    w=w,
-                    q=q + 1,
-                )
-            )
-    return NetworkInstance(capacity=net.capacity, nodes=tuple(nodes))
+            rows.append((f"{nid}_req", nid, KIND_CLIENT, total, w, q + 1))
+    return NetworkInstance.from_columns(net.capacity, *map(list, zip(*rows)))
 
 
 def parse_dual_role(text: str) -> DualRoleNetwork:
@@ -259,10 +238,7 @@ def parse_dual_role(text: str) -> DualRoleNetwork:
     (cycles, several roots) surface when the fictivized instance is
     validated.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
+    doc = load_document(text, "not valid JSON")
     if not isinstance(doc, dict) or set(doc) != {"capacity", "nodes"}:
         raise MalformedDocumentError("expected an object with capacity and nodes")
     # json.loads values: ``type(v) is int`` means a JSON integer, never a bool

@@ -18,7 +18,9 @@ The document format is JSON::
     }
 
 Unknown fields are rejected. The id ``__r_plus__`` is reserved for the
-artificial root added by the transformation stage.
+artificial root added by the transformation stage. In memory an instance
+is per-index columns, in id order: parse, validation, the transform, the
+verifier and the writer read those, and ``NodeSpec`` records are views.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import Any, NamedTuple
+from operator import eq, le
+from typing import Any, Iterable, NamedTuple
 
 from .errors import MalformedDocumentError, RoleError, StructureError
 
@@ -43,7 +46,9 @@ MODE_PER_BUNDLE = "per-bundle"
 MODE_AGGREGATE = "aggregate"
 MODES = (MODE_PER_BUNDLE, MODE_AGGREGATE)
 
-_NODE_FIELDS = {"id", "parent", "kind", "bw", "w", "q"}
+_COLUMNS = ("id", "parent", "kind", "bw", "w", "q")  # NodeSpec fields, in column order
+_COLUMN_NAMES = ("ids", "parents", "kinds", "bws", "ws", "qs")
+_NODE_FIELDS = set(_COLUMNS)
 _TOP_FIELDS = {"W", "nodes"}
 
 # Violation codes that indicate a role problem rather than a shape problem.
@@ -81,27 +86,69 @@ class Violation:
         return f"[{self.code}]{where}: {self.message}"
 
 
-@dataclass(frozen=True)
 class NetworkInstance:
-    """An immutable validated-or-validatable instance.
+    """An instance held as per-index columns, in ascending id order.
 
-    Node order is normalized to ascending id so that value equality and
-    serialization are canonical. The derived accessors (``by_id``,
-    ``clients`` ...) assume the instance passed validation; check
-    ``violations`` first for untrusted data.
+    ``ids``, ``parents`` (an id or None), ``kinds``, ``bws``, ``ws`` and
+    ``qs`` hold one entry per node; treat them as read-only. Columns that
+    do not arrive id-sorted are put in order by a stable sort (duplicate
+    ids keep their input order), so equality and serialization are
+    canonical. ``NetworkInstance(capacity, nodes)`` converts ``NodeSpec``
+    records once; ``from_columns`` takes columns over as they are.
+
+    ``index`` (id -> index), ``parent_index`` and the ``NodeSpec`` views
+    (``nodes``, ``by_id``, ``clients``) are built on first read; no stage
+    of a solve reads the views. The derived accessors assume the instance
+    passed validation; check ``violations`` first for untrusted data.
     """
 
-    capacity: int
-    nodes: tuple[NodeSpec, ...]
+    def __init__(self, capacity: int, nodes: Iterable[NodeSpec] = ()) -> None:
+        nodes = tuple(nodes)
+        self._set_columns(capacity, *([getattr(n, f) for n in nodes] for f in _COLUMNS))
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.nodes, key=attrgetter("id")))
-        object.__setattr__(self, "nodes", ordered)
+    @classmethod
+    def from_columns(cls, capacity: int, *columns: list) -> NetworkInstance:
+        """An instance that takes over ``ids, parents, kinds, bws, ws, qs``."""
+        inst = cls.__new__(cls)
+        inst._set_columns(capacity, *columns)
+        return inst
+
+    def _set_columns(self, capacity: int, *columns: list) -> None:
+        ids = columns[0]
+        if not all(map(le, ids, islice(ids, 1, None))):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            columns = tuple([col[k] for k in order] for col in columns)
+        self.capacity = capacity
+        self.ids, self.parents, self.kinds, self.bws, self.ws, self.qs = columns
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NetworkInstance):
+            return NotImplemented
+        return self.capacity == other.capacity and all(
+            getattr(self, c) == getattr(other, c) for c in _COLUMN_NAMES
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.capacity, tuple(self.ids)))
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """The :func:`validate_instance` verdict, computed once per instance."""
         return tuple(validate_instance(self))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """id -> index; a duplicated id maps to its last index."""
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    @cached_property
+    def parent_index(self) -> list[int]:
+        """The parent's index per node: -1 on a root and for an unknown parent."""
+        return list(map(self.index.get, self.parents, repeat(-1)))
+
+    @cached_property
+    def nodes(self) -> tuple[NodeSpec, ...]:
+        return tuple(map(NodeSpec, self.ids, self.parents, self.kinds, self.bws, self.ws, self.qs))
 
     @cached_property
     def by_id(self) -> dict[str, NodeSpec]:
@@ -113,7 +160,7 @@ class NetworkInstance:
 
     @cached_property
     def internal_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if not n.is_client)
+        return tuple(i for i, kind in zip(self.ids, self.kinds) if kind != KIND_CLIENT)
 
 
 class PrecheckFinding(NamedTuple):
@@ -123,32 +170,59 @@ class PrecheckFinding(NamedTuple):
     limit: int
 
 
-def _node_from_mapping(raw: Any) -> NodeSpec:
-    # Plain checks: a message is formatted only for the check that fails.
-    # Values come from json.loads, so ``type(v) is int`` is exactly "a JSON
-    # integer" (a bool is not one).
-    if not isinstance(raw, dict):
-        raise MalformedDocumentError("node entries must be objects")
-    if not raw.keys() <= _NODE_FIELDS:
-        raise MalformedDocumentError(f"unknown node fields: {sorted(set(raw) - _NODE_FIELDS)}")
-    if "id" not in raw or "kind" not in raw:
-        raise MalformedDocumentError("node needs 'id' and 'kind'")
-    if "parent" not in raw:
-        raise MalformedDocumentError(f"node {raw.get('id')!r} needs 'parent'")
-    node_id = raw["id"]
-    if not isinstance(node_id, str) or node_id == "":
-        raise MalformedDocumentError("node id must be a non-empty string")
-    parent = raw["parent"]
-    if parent is not None and not isinstance(parent, str):
-        raise MalformedDocumentError(f"parent of {node_id!r} must be a string or null")
-    kind = raw["kind"]
-    if kind not in (KIND_CLIENT, KIND_INTERNAL):
-        raise MalformedDocumentError(f"node {node_id!r} has unknown kind {kind!r}")
-    for key in ("bw", "w", "q"):
-        val = raw.get(key)
-        if val is not None and type(val) is not int:
-            raise MalformedDocumentError(f"field {key!r} of {node_id!r} must be an integer")
-    return NodeSpec(node_id, parent, kind, raw.get("bw"), raw.get("w"), raw.get("q"))
+def load_document(text: str, what: str) -> Any:
+    """``json.loads(text)``, raising MalformedDocumentError that starts with ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocumentError(f"{what}: {exc}") from exc
+    except RecursionError:
+        raise MalformedDocumentError(f"{what}: arrays or objects nested too deeply") from None
+
+
+def _columns(raws: list) -> tuple[list, ...]:
+    """The six node columns of a decoded ``nodes`` array, schema-checked.
+
+    A message is formatted only for the check that fails. ``type(v) is int``
+    is exactly "a JSON integer" (a bool is not one). Kinds are stored as the
+    module's constants, so the decoded strings are not kept.
+    """
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    ids, parents, kinds, bws, ws, qs = columns
+    for raw in raws:
+        if not isinstance(raw, dict):
+            raise MalformedDocumentError("node entries must be objects")
+        if not raw.keys() <= _NODE_FIELDS:
+            raise MalformedDocumentError(f"unknown node fields: {sorted(set(raw) - _NODE_FIELDS)}")
+        if "id" not in raw or "kind" not in raw:
+            raise MalformedDocumentError("node needs 'id' and 'kind'")
+        if "parent" not in raw:
+            raise MalformedDocumentError(f"node {raw.get('id')!r} needs 'parent'")
+        node_id = raw["id"]
+        if not isinstance(node_id, str) or node_id == "":
+            raise MalformedDocumentError("node id must be a non-empty string")
+        parent = raw["parent"]
+        if parent is not None and not isinstance(parent, str):
+            raise MalformedDocumentError(f"parent of {node_id!r} must be a string or null")
+        kind = raw["kind"]
+        if kind not in (KIND_CLIENT, KIND_INTERNAL):
+            raise MalformedDocumentError(f"node {node_id!r} has unknown kind {kind!r}")
+        bw = raw.get("bw")
+        if bw is not None and type(bw) is not int:
+            raise MalformedDocumentError(f"field 'bw' of {node_id!r} must be an integer")
+        w = raw.get("w")
+        if w is not None and type(w) is not int:
+            raise MalformedDocumentError(f"field 'w' of {node_id!r} must be an integer")
+        q = raw.get("q")
+        if q is not None and type(q) is not int:
+            raise MalformedDocumentError(f"field 'q' of {node_id!r} must be an integer")
+        ids.append(node_id)
+        parents.append(parent)
+        kinds.append(KIND_CLIENT if kind == KIND_CLIENT else KIND_INTERNAL)
+        bws.append(bw)
+        ws.append(w)
+        qs.append(q)
+    return columns
 
 
 def parse_instance(text: str) -> NetworkInstance:
@@ -159,10 +233,7 @@ def parse_instance(text: str) -> NetworkInstance:
     problems. The returned instance always passes validation, and keeps
     that verdict (see ``NetworkInstance.violations``).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    doc = load_document(text, "invalid JSON")
     if not isinstance(doc, dict):
         raise MalformedDocumentError("document root must be an object")
     if not doc.keys() <= _TOP_FIELDS:
@@ -173,8 +244,8 @@ def parse_instance(text: str) -> NetworkInstance:
         raise MalformedDocumentError("'W' must be an integer")
     if not isinstance(doc["nodes"], list):
         raise MalformedDocumentError("'nodes' must be an array")
-    nodes = tuple(map(_node_from_mapping, doc["nodes"]))
-    inst = NetworkInstance(capacity=doc["W"], nodes=nodes)
+    # popped, so that the decoded node objects are freed before validation
+    inst = NetworkInstance.from_columns(doc["W"], *_columns(doc.pop("nodes")))
     require_valid(inst)
     return inst
 
@@ -205,33 +276,42 @@ def serialize_instance(inst: NetworkInstance) -> str:
     """Canonical document text: key-sorted, id-sorted nodes, newline-terminated.
 
     The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
-    of the document, written directly in its fixed key order (``bw``,
-    ``id``, ``kind``, ``parent``, ``q``, ``w``) instead of through the
-    encoder's pure-Python indenting path.
+    of the document, written directly from the columns in its fixed key
+    order (``bw``, ``id``, ``kind``, ``parent``, ``q``, ``w``) instead of
+    through the encoder's pure-Python indenting path. Strings and ints are
+    written inline; ``_json_value`` writes any other value.
     """
     pad = " " * 6
+    enc = encode_basestring_ascii
     blocks = []
-    for n in inst.nodes:
-        lines = []
-        if n.bw is not None:
-            lines.append('"bw": ' + _json_value(n.bw, pad))
-        lines.append('"id": ' + _json_value(n.id, pad))
-        lines.append('"kind": ' + _json_value(n.kind, pad))
-        lines.append('"parent": ' + _json_value(n.parent, pad))
-        if n.q is not None:
-            lines.append('"q": ' + _json_value(n.q, pad))
-        if n.w is not None:
-            lines.append('"w": ' + _json_value(n.w, pad))
-        blocks.append("    {\n      " + ",\n      ".join(lines) + "\n    }")
-    nodes = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
-    return '{\n  "W": ' + _json_value(inst.capacity, "  ") + ',\n  "nodes": ' + nodes + "\n}\n"
+    columns = (inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
+    for node_id, parent, kind, bw, w, q in zip(*columns):
+        block = "    {\n      "
+        if bw is not None:
+            block += '"bw": ' + (str(bw) if type(bw) is int else _json_value(bw, pad)) + ",\n      "
+        block += '"id": ' + (enc(node_id) if type(node_id) is str else _json_value(node_id, pad))
+        block += ',\n      "kind": ' + (enc(kind) if type(kind) is str else _json_value(kind, pad))
+        block += ',\n      "parent": ' + (enc(parent) if type(parent) is str else _json_value(parent, pad))
+        if q is not None:
+            block += ',\n      "q": ' + (str(q) if type(q) is int else _json_value(q, pad))
+        if w is not None:
+            block += ',\n      "w": ' + (str(w) if type(w) is int else _json_value(w, pad))
+        blocks.append(block + "\n    }")
+    head = '{\n  "W": ' + _json_value(inst.capacity, "  ") + ',\n  "nodes": '
+    if not blocks:
+        return head + "[]\n}\n"
+    blocks[0] = head + "[\n" + blocks[0]  # so that one join writes the whole text
+    blocks[-1] += "\n  ]\n}\n"
+    return ",\n".join(blocks)
 
 
 def validate_instance(inst: NetworkInstance) -> list[Violation]:
     """Check every typed invariant; empty list means the instance is valid.
 
-    Works on arbitrary instances (duplicates, cycles ...) without relying
-    on the cached derived accessors.
+    Works on arbitrary instances (duplicates, cycles ...), on the columns,
+    ``index`` and ``parent_index``. The rare findings (duplicate or
+    reserved ids, unknown or self parents) are looked for node by node
+    only where a whole-column test shows there are some.
     """
     out: list[Violation] = []
     add = lambda code, node, msg: out.append(Violation(code, node, msg))  # noqa: E731
@@ -239,71 +319,74 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
     if not (isinstance(inst.capacity, int) and inst.capacity >= 1):
         add("capacity", None, f"capacity W must be a positive integer, got {inst.capacity!r}")
 
-    seen: set[str] = set()
-    for n in inst.nodes:
-        if n.id in seen:
-            add("duplicate-id", n.id, "node id appears more than once")
-        seen.add(n.id)
-        if n.id in RESERVED_NODE_IDS:
-            add("reserved-id", n.id, "node id is reserved for the artificial root")
+    ids, parents, index, ups = inst.ids, inst.parents, inst.index, inst.parent_index
+    duplicates = len(index) != len(ids)
+    if duplicates or not RESERVED_NODE_IDS.isdisjoint(index):
+        seen: set[str] = set()
+        for node_id in ids:
+            if node_id in seen:
+                add("duplicate-id", node_id, "node id appears more than once")
+            seen.add(node_id)
+            if node_id in RESERVED_NODE_IDS:
+                add("reserved-id", node_id, "node id is reserved for the artificial root")
 
-    by_id = {n.id: n for n in inst.nodes}
-    roots = [n for n in inst.nodes if n.parent is None]
-    if len(roots) != 1:
-        add("root-count", None, f"expected exactly one root (parent null), found {len(roots)}")
-    for n in inst.nodes:
-        if n.parent is not None and n.parent not in by_id:
-            add("unknown-parent", n.id, f"parent {n.parent!r} does not exist")
-        if n.parent == n.id:
-            add("cycle", n.id, "node is its own parent")
+    roots = parents.count(None)
+    if roots != 1:
+        add("root-count", None, f"expected exactly one root (parent null), found {roots}")
+    unknown = ups.count(-1) != roots  # -1 marks the roots and the unknown parents
+    if unknown or any(map(eq, ids, parents)):
+        for node_id, parent in zip(ids, parents):
+            if parent is not None and parent not in index:
+                add("unknown-parent", node_id, f"parent {parent!r} does not exist")
+            if parent == node_id:
+                add("cycle", node_id, "node is its own parent")
 
-    children: dict[str, list[str]] = {}  # only nodes that have children
-    for n in inst.nodes:
-        if n.parent is not None:
-            children.setdefault(n.parent, []).append(n.id)
+    # Reachability from the root doubles as cycle detection. With one root,
+    # unique ids and known parents, each round of pointer jumping doubles
+    # the hops that ``above`` looks up (the root is its own parent there),
+    # so after log2(n) rounds a node maps to the root exactly when the
+    # root is one of its ancestors.
+    if roots == 1 and not unknown and not duplicates:
+        root = parents.index(None)
+        above = ups.copy()
+        above[root] = root
+        for _round in range(len(ids).bit_length()):
+            if above.count(root) == len(ids):
+                break
+            above = list(map(above.__getitem__, above))
+        else:
+            for node_id, top in zip(ids, above):
+                if top != root:
+                    add("cycle", node_id, "node is not reachable from the root (cycle or orphan)")
 
-    # Reachability from the root doubles as cycle detection. With one root
-    # and unique ids each node sits in exactly one child list, so the walk
-    # meets every reachable node once.
-    if len(roots) == 1 and not any(v.code in ("unknown-parent", "duplicate-id") for v in out):
-        order = [roots[0].id]
-        for cur in order:
-            order.extend(children.get(cur, ()))
-        if len(order) != len(inst.nodes):
-            reached = set(order)
-            for n in inst.nodes:
-                if n.id not in reached:
-                    add("cycle", n.id, "node is not reachable from the root (cycle or orphan)")
-
+    has_children = set(parents)
     n_clients = 0
-    n_internal = 0
-    for n in inst.nodes:
-        is_root = n.parent is None
-        if n.kind == KIND_CLIENT:
+    for node_id, parent, kind, bw, w, q in zip(ids, parents, inst.kinds, inst.bws, inst.ws, inst.qs):
+        is_root = parent is None
+        if kind == KIND_CLIENT:
             n_clients += 1
             if is_root:
-                add("root-role", n.id, "root must be an internal node")
-            if n.id in children:
-                add("client-children", n.id, "clients must be leaves")
-            if not (isinstance(n.w, int) and n.w >= 0):
-                add("client-fields", n.id, "client needs integer w >= 0")
-            if not (isinstance(n.q, int) and n.q >= 1):
-                add("client-fields", n.id, "client needs integer q >= 1")
+                add("root-role", node_id, "root must be an internal node")
+            if node_id in has_children:
+                add("client-children", node_id, "clients must be leaves")
+            if not (isinstance(w, int) and w >= 0):
+                add("client-fields", node_id, "client needs integer w >= 0")
+            if not (isinstance(q, int) and q >= 1):
+                add("client-fields", node_id, "client needs integer q >= 1")
         else:
-            n_internal += 1
-            if n.w is not None or n.q is not None:
-                add("internal-fields", n.id, "internal nodes carry no w/q")
-            if n.id not in children:
-                add("childless-internal", n.id, "internal node has no children")
+            if w is not None or q is not None:
+                add("internal-fields", node_id, "internal nodes carry no w/q")
+            if node_id not in has_children:
+                add("childless-internal", node_id, "internal node has no children")
         if is_root:
-            if n.bw is not None:
-                add("root-bw", n.id, "root has no parent link, bw must be absent")
-        elif not (isinstance(n.bw, int) and n.bw >= 0):
-            add("bw", n.id, "non-root node needs integer bw >= 0")
+            if bw is not None:
+                add("root-bw", node_id, "root has no parent link, bw must be absent")
+        elif not (isinstance(bw, int) and bw >= 0):
+            add("bw", node_id, "non-root node needs integer bw >= 0")
 
     if n_clients == 0:
         add("no-client", None, "instance needs at least one client")
-    if n_internal == 0:
+    if n_clients == len(ids):
         add("no-internal", None, "instance needs at least one internal node")
     return out
 
@@ -317,10 +400,11 @@ def precheck_client_links(inst: NetworkInstance) -> list[PrecheckFinding]:
     passed. Tightening any bandwidth can only grow the finding set.
     """
     out: list[PrecheckFinding] = []
-    for c in inst.clients:  # id-sorted already
-        assert c.w is not None and c.bw is not None
-        if c.w > c.bw:
-            out.append(PrecheckFinding(c.id, "link-bandwidth", c.w, c.bw))
-        if c.w > inst.capacity:
-            out.append(PrecheckFinding(c.id, "capacity", c.w, inst.capacity))
+    capacity = inst.capacity
+    for node_id, kind, bw, w in zip(inst.ids, inst.kinds, inst.bws, inst.ws):  # id-sorted
+        if kind == KIND_CLIENT:
+            if w > bw:
+                out.append(PrecheckFinding(node_id, "link-bandwidth", w, bw))
+            if w > capacity:
+                out.append(PrecheckFinding(node_id, "capacity", w, capacity))
     return out

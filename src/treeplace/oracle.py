@@ -52,58 +52,3 @@ def brute_force_min(
             return OracleResult(size, winners[0], len(winners), explored)
     return OracleResult(None, None, 0, explored)
 
-
-def dual_role_brute_force_min(
-    nodes_with_demand: dict[str, tuple[int, int]],
-    parents: dict[str, str | None],
-    bandwidth: dict[str, int],
-    capacity: int,
-    max_nodes: int = DEFAULT_MAX_INTERNAL,
-) -> OracleResult:
-    """Minimum replica count when every node may both demand and serve.
-
-    A hand-rolled check rather than the verifier, because here a node
-    hosting a replica serves its own demand at zero hops and zero link
-    cost. ``nodes_with_demand`` maps id -> (weight, qos); nodes absent
-    from it demand nothing. Used to validate the reduction that rewrites
-    such networks into client/server form.
-    """
-    ids = sorted(parents)
-    if len(ids) > max_nodes:
-        raise GuardExceededError(
-            f"{len(ids)} nodes exceeds the exhaustive-search guard of {max_nodes}"
-        )
-
-    def feasible(replicas: frozenset[str]) -> bool:
-        loads: dict[str, int] = {}
-        for nid in ids:
-            w, q = nodes_with_demand.get(nid, (0, 0))
-            if w == 0:
-                continue
-            server = None
-            cur: str | None = nid
-            path_min = float("inf")
-            for _hop in range(q + 1):
-                if cur in replicas:
-                    server = cur
-                    break
-                up = parents[cur]
-                if up is None:
-                    break  # ran off the root without finding a server
-                path_min = min(path_min, bandwidth[cur])
-                cur = up
-            if server is None or w > path_min:
-                return False
-            loads[server] = loads.get(server, 0) + w
-        return all(load <= capacity for load in loads.values())
-
-    explored = 0
-    for size in range(len(ids) + 1):
-        winners: list[tuple[str, ...]] = []
-        for combo in itertools.combinations(ids, size):
-            explored += 1
-            if feasible(frozenset(combo)):
-                winners.append(combo)
-        if winners:
-            return OracleResult(size, winners[0], len(winners), explored)
-    return OracleResult(None, None, 0, explored)

@@ -10,6 +10,7 @@ an explicit stack over star indices so degenerate path trees of depth
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -95,7 +96,8 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
     placement. One preorder pass carries each node's nearest equipped
     ancestor-or-self (-1: none below the artificial root).
     """
-    equipped = {star.index[r] for r in result.replicas_original}
+    ids = star.ids
+    equipped = {bisect_left(ids, r, 0, star.root) for r in result.replicas_original}  # id order
     parents = star.parents
     weights = star.weights
     eligibles = star.eligibles
@@ -114,7 +116,7 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
             elif s < 0:
                 unabsorbed += weight
 
-    old_root_id = star.ids[old_root]
+    old_root_id = ids[old_root]
     if old_root in equipped:
         if root_load > star.capacity:
             raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root_id, root_load),))

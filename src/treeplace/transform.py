@@ -35,7 +35,6 @@ from .instance import (
     ARTIFICIAL_ROOT_ID,
     KIND_CLIENT,
     NetworkInstance,
-    NodeSpec,
     precheck_client_links,
 )
 
@@ -89,14 +88,14 @@ class StarTree:
     index order is id order, and projecting a replica back onto the
     original tree is the identity on indices.
 
-    The solver stages read the arrays. The id-keyed views (``nodes``,
-    ``by_id``, ``depth``, ``leaves``) are built on first read only.
+    The solver stages read the arrays. The id-keyed views (``index``,
+    ``nodes``, ``by_id``, ``depth``, ``leaves``) are built on first read
+    only.
     """
 
     capacity: int
     root_plus: str
     ids: list[str]  # index -> id
-    index: dict[str, int]  # star node id -> index
     parents: list[int]  # -1 on the root and on holes
     bws: list  # link to the parent: int, UNBOUNDED (merged leaf) or None (root)
     weights: list  # bundle weight on leaves, None elsewhere
@@ -111,6 +110,12 @@ class StarTree:
     @property
     def root(self) -> int:
         return len(self.ids) - 1
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Star node id -> index."""
+        ids = self.ids
+        return {ids[v]: v for v in self.preorder}
 
     @cached_property
     def id_order(self) -> list[int]:
@@ -151,8 +156,8 @@ class StarTree:
         return tuple(n for n in self.nodes if n.is_leaf)
 
 
-def _bundle_figures(clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) -> tuple[int, int]:
-    """Weight and qos of the leaf that bundles ``clients``.
+def _bundle_figures(inst: NetworkInstance, clients: list, *, suppressed: bool, leaf_id: str) -> tuple:
+    """Weight and qos of the leaf that bundles the client indices ``clients``.
 
     ``clients`` are one parent's client children in ascending id order.
     A suppressed bundle (the parent of an all-client family becomes an
@@ -162,12 +167,21 @@ def _bundle_figures(clients: list[NodeSpec], *, suppressed: bool, leaf_id: str) 
     qos drops below zero (impossible for validated instances, where
     q >= 1).
     """
-    weight = sum(c.w for c in clients)  # type: ignore[misc]
-    demanding = [c.q for c in clients if c.w]  # zero-demand clients constrain nothing
-    base = min(demanding) if demanding else min(c.q for c in clients)  # type: ignore[type-var]
-    qos = base - 1 if suppressed else base
+    ws, qs = inst.ws, inst.qs
+    weight = 0
+    q_any = q_demanding = UNBOUNDED
+    for c in clients:  # one plain loop: most bundles hold one to three clients
+        q = qs[c]
+        if q < q_any:
+            q_any = q
+        if ws[c]:
+            weight += ws[c]
+            if q < q_demanding:
+                q_demanding = q
+    # zero-demand clients constrain nothing, unless no client demands
+    qos = (q_demanding if weight else q_any) - (1 if suppressed else 0)
     if qos < 0:
-        raise InfeasibleError(REASON_QOS, ((leaf_id, tuple(c.id for c in clients)),))
+        raise InfeasibleError(REASON_QOS, ((leaf_id, tuple(inst.ids[c] for c in clients)),))
     return weight, qos
 
 
@@ -179,7 +193,8 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     instance is not validated again. Raises InfeasibleError when the
     precheck fails or some merged bundle exceeds the shared capacity (the
     closest policy sends a whole bundle to a single server, so weight > W
-    can never be served).
+    can never be served). Reads the instance's columns and its int
+    parent column.
     """
     if inst.violations:
         raise StructureError("; ".join(str(v) for v in inst.violations))
@@ -192,19 +207,19 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
         )
         raise InfeasibleError(reason, tuple(findings))
 
-    nodes = inst.nodes
-    root = len(nodes)
-    ids = [n.id for n in nodes]
-    ids.append(ARTIFICIAL_ROOT_ID)
-    # star node id -> index; only internal nodes can be parents
-    index = {n.id: v for v, n in enumerate(nodes) if n.kind != KIND_CLIENT}
-    ups = [index.get(n.parent, root) for n in nodes]  # type: ignore[arg-type]
-    index[ARTIFICIAL_ROOT_ID] = root
-    # the original child lists, split by kind, id-ordered because the nodes are
-    client_kids: dict[int, list[int]] = {}
-    inner_kids: dict[int, list[int]] = {}
-    for v, n in enumerate(nodes):
-        (client_kids if n.kind == KIND_CLIENT else inner_kids).setdefault(ups[v], []).append(v)
+    kinds = inst.kinds
+    root = len(kinds)
+    ids = inst.ids + [ARTIFICIAL_ROOT_ID]
+    ups = [root if up < 0 else up for up in inst.parent_index]  # the old root hangs below r+
+    # the original child lists, split by kind, id-ordered because the indices are
+    client_kids: list = [None] * (root + 1)
+    inner_kids: list = [None] * (root + 1)
+    for v, kind, up in zip(range(root), kinds, ups):
+        lists = client_kids if kind == KIND_CLIENT else inner_kids
+        if lists[up] is None:
+            lists[up] = [v]
+        else:
+            lists[up].append(v)
 
     size = root + 1
     parents = [-1] * size
@@ -218,14 +233,13 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     capacity = inst.capacity
     heavy: list[tuple[str, int]] = []
     max_qos = 0
-    for v, n in enumerate(nodes):
-        if n.kind == KIND_CLIENT:
+    for v, kind, up, bw in zip(range(root), kinds, ups, inst.bws):
+        if kind == KIND_CLIENT:
             continue
-        up = ups[v]
         parents[v] = up
-        bws[v] = 0 if up == root else n.bw
-        inner = inner_kids.get(v)
-        clients = client_kids.get(v)
+        bws[v] = 0 if up == root else bw
+        inner = inner_kids[v]
+        clients = client_kids[v]
         if inner is None:
             leaf = v  # suppressed: the node itself becomes an eligible leaf
         elif clients is None:
@@ -233,15 +247,12 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
             continue
         else:
             leaf = clients[0]  # compressed: a merged leaf behind an unbounded link
-            index[ids[leaf]] = leaf
             insort(inner, leaf)
             kids[v] = tuple(inner)
             parents[leaf] = v
             bws[leaf] = UNBOUNDED
             eligibles[leaf] = False
-        weight, qos = _bundle_figures(
-            [nodes[c] for c in clients], suppressed=leaf == v, leaf_id=ids[leaf]  # type: ignore[union-attr]
-        )
+        weight, qos = _bundle_figures(inst, clients, suppressed=leaf == v, leaf_id=ids[leaf])
         weights[leaf] = weight
         qoses[leaf] = qos
         bundles[leaf] = clients
@@ -269,7 +280,6 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
         capacity=capacity,
         root_plus=ARTIFICIAL_ROOT_ID,
         ids=ids,
-        index=index,
         parents=parents,
         bws=bws,
         weights=weights,

@@ -14,20 +14,21 @@ semantics:
   feasibility, never the other way around.
 
 Zero-demand clients need no server and add no flow.
+
+The walks run on the instance's columns: up its int parent column,
+against a per-index equipped flag. Ids come back only in the report.
+Sharing that input form is all the verifier shares with the solver:
+it has its own walks and no code from the solver pipeline.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
 from .errors import StructureError
-from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, NetworkInstance, NodeSpec
-from .transform import StarTree
-
-_UNBOUNDED = math.inf
+from .instance import KIND_CLIENT, MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, NetworkInstance
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,9 +58,12 @@ class FeasibilityReport:
         Built from the same link walk as the bandwidth check, on first
         read only: a solve's self-check never reads it.
         """
+        inst = self.instance
+        ids = inst.ids
+        servers = _servers(inst, self.server_loads)[0]  # its keys are the replica set
         parts: dict[str, list[tuple[str, int]]] = {}
-        for child_end, label, flow in _link_crossings(self.instance, self.assignment):
-            parts.setdefault(child_end, []).append((label, flow))
+        for child_end, label, flow in _link_crossings(inst, servers):
+            parts.setdefault(ids[child_end], []).append((ids[label], flow))
         out: dict[str, dict] = {}
         for child_end in sorted(parts):
             ordered = sorted(parts[child_end])
@@ -83,6 +87,44 @@ class FeasibilityReport:
         }
 
 
+def _servers(
+    inst: NetworkInstance, replicas: set[str] | frozenset[str]
+) -> tuple[list, dict[str, str | None], list[RuleViolation]]:
+    """Per node index the server's index (-1: none; None: not a client),
+    the same by client id, and an "unserved" violation per demanding client
+    without a replica in range. The walk runs up the int parent column
+    against a per-index equipped flag and stops after q(v) hops."""
+    index = inst.index
+    equipped = bytearray(len(inst.ids))
+    for r in replicas:
+        v = index.get(r)
+        if v is not None:
+            equipped[v] = 1
+    ids = inst.ids
+    ups = inst.parent_index
+    servers: list = [None] * len(ids)
+    assignment: dict[str, str | None] = {}
+    violations: list[RuleViolation] = []
+    for c, kind, w, q in zip(range(len(ids)), inst.kinds, inst.ws, inst.qs):
+        if kind != KIND_CLIENT:
+            continue
+        server = -1
+        if w:
+            cur = ups[c]
+            for _hop in range(q):
+                if cur < 0:
+                    break
+                if equipped[cur]:
+                    server = cur
+                    break
+                cur = ups[cur]
+            if server < 0:
+                violations.append(RuleViolation("unserved", ids[c], w))
+        servers[c] = server
+        assignment[ids[c]] = None if server < 0 else ids[server]
+    return servers, assignment, violations
+
+
 def closest_assignment(
     inst: NetworkInstance, replicas: set[str]
 ) -> tuple[dict[str, str | None], list[RuleViolation]]:
@@ -93,61 +135,36 @@ def closest_assignment(
     construction an assigned client is always within range, so a
     separate qos violation cannot occur.
     """
-    by_id = inst.by_id
-    assignment: dict[str, str | None] = {}
-    violations: list[RuleViolation] = []
-    for client in inst.clients:
-        if client.w == 0:
-            assignment[client.id] = None
-            continue
-        found = None
-        cur = client.parent
-        for _hop in range(client.q):  # type: ignore[arg-type]
-            if cur is None:
-                break
-            if cur in replicas:
-                found = cur
-                break
-            cur = by_id[cur].parent
-        assignment[client.id] = found
-        if found is None:
-            violations.append(RuleViolation("unserved", client.id, client.w))  # type: ignore[arg-type]
+    _, assignment, violations = _servers(inst, replicas)
     return assignment, violations
 
 
-def _bundles(inst: NetworkInstance) -> list[tuple[str, list[NodeSpec]]]:
-    """Sibling clients grouped under their shared parent, id-sorted."""
-    groups: dict[str, list[NodeSpec]] = {}
-    for client in inst.clients:
-        groups.setdefault(client.parent, []).append(client)  # type: ignore[arg-type]
-    return sorted(groups.items())
-
-
-def _link_crossings(
-    inst: NetworkInstance, assignment: dict[str, str | None]
-) -> Iterator[tuple[str, str, int]]:
-    """``(child-end id, label, flow)`` for every link a served flow crosses.
+def _link_crossings(inst: NetworkInstance, servers: list) -> Iterator[tuple[int, int, int]]:
+    """``(child-end index, label index, flow)`` for every link a served flow crosses.
 
     Every client edge carries just its own demand (labelled by the
-    client); above the bundle's parent the merged flow travels together
-    up to the server (labelled by that parent).
+    client); above the bundle's parent the merged flow of the sibling
+    clients travels together up to the server (labelled by that parent).
     """
-    by_id = inst.by_id
-    for client in inst.clients:
-        if client.w and assignment.get(client.id):
-            yield client.id, client.id, client.w  # type: ignore[misc]
-    for parent_id, members in _bundles(inst):
-        served = [c for c in members if assignment.get(c.id)]
-        if not served:
-            continue
-        server = assignment[served[0].id]
-        bundle_flow = sum(c.w for c in served)  # type: ignore[misc]
-        # all served siblings share one nearest ancestor
-        assert all(assignment[c.id] == server for c in served)
-        cur = parent_id
+    ws = inst.ws
+    ups = inst.parent_index
+    bundles: dict[int, list[int]] = {}  # parent index -> [merged flow, server index]
+    for c, server in enumerate(servers):
+        if server is not None and server >= 0:
+            flow = ws[c]
+            yield c, c, flow
+            bundle = bundles.get(ups[c])
+            if bundle is None:
+                bundles[ups[c]] = [flow, server]
+            else:
+                bundle[0] += flow
+                # all served siblings share one nearest ancestor
+                assert bundle[1] == server
+    for parent, (flow, server) in bundles.items():
+        cur = parent
         while cur != server:
-            yield cur, parent_id, bundle_flow
-            cur = by_id[cur].parent  # type: ignore[assignment]
+            yield cur, parent, flow
+            cur = ups[cur]
 
 
 def verify_placement(
@@ -156,41 +173,39 @@ def verify_placement(
     """Full feasibility report for a replica set.
 
     ``replicas`` must name internal nodes only; anything else is a
-    caller contract breach, not a reportable violation.
+    caller contract breach, not a reportable violation. The checks run
+    on node indices; ids come back only in the report.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     replica_set = set(replicas)
-    by_id = inst.by_id
-    stray = {r for r in replica_set if r not in by_id or by_id[r].is_client}
+    index, kinds = inst.index, inst.kinds
+    stray = {r for r in replica_set if r not in index or kinds[index[r]] == KIND_CLIENT}
     if stray:
         raise StructureError(f"replica set contains non-internal nodes: {sorted(stray)}")
 
-    assignment, violations = closest_assignment(inst, replica_set)
-
-    loads: dict[str, int] = {r: 0 for r in sorted(replica_set)}
-    for cid, server in assignment.items():
-        if server is not None:
-            loads[server] += by_id[cid].w  # type: ignore[operator]
-    for server in sorted(loads):
-        if loads[server] > inst.capacity:
-            violations.append(
-                RuleViolation("capacity", server, loads[server] - inst.capacity)
-            )
+    servers, assignment, violations = _servers(inst, replica_set)
+    ids, ws = inst.ids, inst.ws
+    load_at: dict[int, int] = {}
+    for c, server in enumerate(servers):
+        if server is not None and server >= 0:
+            load_at[server] = load_at.get(server, 0) + ws[c]
+    loads = {r: load_at.get(index[r], 0) for r in sorted(replica_set)}
+    for server, load in loads.items():
+        if load > inst.capacity:
+            violations.append(RuleViolation("capacity", server, load - inst.capacity))
 
     # Per-bundle: the largest single flow on a link; aggregate: their sum.
-    link_load: dict[str, int] = {}
+    link_load = [0] * len(ids)
     aggregate = mode == MODE_AGGREGATE
-    for child_end, _label, flow in _link_crossings(inst, assignment):
+    for child_end, _label, flow in _link_crossings(inst, servers):
         if aggregate:
-            link_load[child_end] = link_load.get(child_end, 0) + flow
-        elif flow > link_load.get(child_end, 0):
+            link_load[child_end] += flow
+        elif flow > link_load[child_end]:
             link_load[child_end] = flow
-    for child_end, load in link_load.items():
-        bw = by_id[child_end].bw
-        assert bw is not None
-        if load > bw:
-            violations.append(RuleViolation("bandwidth", child_end, load - bw))
+    for child_end, load, bw in zip(range(len(ids)), link_load, inst.bws):
+        if load and load > bw:
+            violations.append(RuleViolation("bandwidth", ids[child_end], load - bw))
 
     ordered = tuple(sorted(violations, key=lambda v: (v.kind, v.location)))
     return FeasibilityReport(
@@ -200,47 +215,3 @@ def verify_placement(
         violations=ordered,
         instance=inst,
     )
-
-
-def verify_star_placement(
-    star: StarTree, replicas: set[str] | frozenset[str]
-) -> tuple[bool, list[RuleViolation]]:
-    """Per-bundle feasibility of a replica set directly on a star tree.
-
-    Used to cross-check that normalization preserves feasibility: for
-    any replica set, the verdict here must match verify_placement on the
-    original instance with the same (projected) set. Eligible leaves may
-    serve themselves at distance zero.
-    """
-    by_id = star.by_id
-    replica_set = set(replicas)
-    violations: list[RuleViolation] = []
-    loads: dict[str, int] = {}
-    for leaf_node in star.leaves:
-        leaf = leaf_node.leaf
-        assert leaf is not None
-        if leaf.weight == 0:
-            continue
-        server = None
-        cur: str | None = leaf_node.id
-        path_min: int | float = _UNBOUNDED
-        for hop in range(leaf.qos + 1):
-            if cur is None or cur == star.root_plus:
-                break
-            if cur in replica_set:
-                server = cur
-                break
-            path_min = min(path_min, by_id[cur].bw)  # type: ignore[type-var]
-            cur = by_id[cur].parent
-        if server is None:
-            violations.append(RuleViolation("unserved", leaf_node.id, leaf.weight))
-            continue
-        if leaf.weight > path_min:
-            violations.append(
-                RuleViolation("bandwidth", leaf_node.id, int(leaf.weight - path_min))
-            )
-        loads[server] = loads.get(server, 0) + leaf.weight
-    for server in sorted(loads):
-        if loads[server] > star.capacity:
-            violations.append(RuleViolation("capacity", server, loads[server] - star.capacity))
-    return (not violations, violations)

@@ -22,7 +22,6 @@ from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
     internal_node_update,
-    leaf_contribution,
     run_phase1,
 )
 from treeplace.errors import InfeasibleError
@@ -34,10 +33,11 @@ from treeplace.generator import (
     generate_dual_role,
     small_corpus_config,
 )
-from treeplace.oracle import brute_force_min, dual_role_brute_force_min
+from treeplace.oracle import brute_force_min
 from treeplace.solver import solve_instance
 from treeplace.transform import StarLeaf, transform_to_star
 from treeplace.verifier import verify_placement
+from tests.reference import dual_role_brute_force_min, leaf_contribution
 
 INF = INFINITE
 

@@ -399,3 +399,33 @@ def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/path.json")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{doc}"),
+        ("verify", WORKED, "{doc}"),
+        ("verify", "{doc}", WORKED),
+        ("gen", "--fictivize", "{doc}"),
+        ("transform", "{doc}"),
+        ("inspect", "{doc}"),
+        ("oracle", "{doc}"),
+    ],
+    ids=["solve", "verify-solution", "verify-instance", "gen-fictivize", "transform",
+         "inspect", "oracle"],
+)
+@pytest.mark.parametrize("content", ["deep", "not-utf8"])
+def test_hostile_documents_give_one_error_line(tmp_path, capsys, argv, content):
+    """A document nested 200,000 levels deep, or not UTF-8 at all: exit 1,
+    one ``error:`` line, no traceback."""
+    path = tmp_path / "hostile.json"
+    if content == "deep":
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    else:
+        path.write_bytes(b'{"W": 3, "nodes": [{"id": "\xff\xfe"}]}')
+    code, out, err = run(capsys, *(a.format(doc=path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -12,14 +12,13 @@ from treeplace.contribution import (
     MODE_PER_BUNDLE,
     greedy_e_set,
     internal_node_update,
-    leaf_contribution,
-    min_bw_on_path,
     run_phase1,
 )
 from treeplace.errors import InfeasibleError
 from treeplace.generator import SHAPES, GenConfig, generate
 from treeplace.instance import parse_instance
 from treeplace.transform import StarLeaf, transform_to_star
+from tests.reference import leaf_contribution, min_bw_on_path
 
 INF = INFINITE
 

@@ -14,8 +14,8 @@ from treeplace.generator import (
     small_corpus_config,
 )
 from treeplace.instance import serialize_instance, validate_instance
-from treeplace.oracle import dual_role_brute_force_min
 from treeplace.solver import solve_instance
+from tests.reference import dual_role_brute_force_min
 
 
 def test_same_seed_same_document():

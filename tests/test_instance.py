@@ -1,11 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeplace.cli as cli
 import treeplace.instance as instance_module
 from treeplace.errors import MalformedDocumentError, RoleError, StructureError
-from treeplace.generator import GenConfig, generate
+from treeplace.generator import GenConfig, generate, small_corpus_config
 from treeplace.instance import (
+    ARTIFICIAL_ROOT_ID,
+    KIND_CLIENT,
+    KIND_INTERNAL,
+    MODES,
     NetworkInstance,
     NodeSpec,
     parse_instance,
@@ -15,6 +22,9 @@ from treeplace.instance import (
 )
 from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
+from treeplace.verifier import verify_placement
+from tests import reference
+from tests.conftest import FIXTURES, load_fixture_text
 
 MINIMAL = {
     "W": 10,
@@ -253,3 +263,100 @@ def test_invalid_instance_built_in_code_is_rejected():
         with pytest.raises(StructureError) as err:
             stage(inst)
         assert str(err.value) == expected
+
+
+# --- the columnar instance against its NodeSpec reference -------------------
+
+_IDS = ("a", "b", "c", "d", "e", ARTIFICIAL_ROOT_ID)
+_FIELD = st.one_of(st.none(), st.integers(-2, 6), st.booleans(), st.just("3"))
+
+
+@st.composite
+def _node_lists(draw):
+    """Arbitrary small node lists: duplicate and reserved ids, zero or
+    several roots, unknown and self parents, cycles and orphans, role
+    faults and bad bw/w/q values all occur."""
+    specs = []
+    for _ in range(draw(st.integers(0, 7))):
+        specs.append(NodeSpec(
+            draw(st.sampled_from(_IDS)),
+            draw(st.one_of(st.none(), st.sampled_from(_IDS + ("ghost",)))),
+            draw(st.sampled_from((KIND_CLIENT, KIND_INTERNAL))),
+            draw(_FIELD), draw(_FIELD), draw(_FIELD),
+        ))
+    return specs
+
+
+@settings(max_examples=600, deadline=None)
+@given(capacity=st.one_of(st.integers(-1, 9), st.just("x")), nodes=_node_lists())
+def test_validation_matches_the_nodespec_reference(capacity, nodes):
+    inst = NetworkInstance(capacity=capacity, nodes=nodes)
+    assert validate_instance(inst) == reference.validate_instance(inst)
+
+
+def test_validation_matches_the_reference_on_generated_and_doctored_trees():
+    for seed in range(40):
+        inst = generate(small_corpus_config(seed))
+        assert validate_instance(inst) == reference.validate_instance(inst) == []
+        nodes = list(inst.nodes)
+        movable = [k for k, n in enumerate(nodes) if n.parent is not None]
+        k = movable[seed % len(movable)]
+        # re-hang one node below one of its descendants (or itself): a cycle
+        below = {nodes[k].id}
+        for n in nodes:  # id order is not tree order, so repeat until stable
+            for m in nodes:
+                if m.parent in below:
+                    below.add(m.id)
+        target = sorted(below)[seed % len(below)]
+        nodes[k] = NodeSpec(nodes[k].id, target, nodes[k].kind, 3, nodes[k].w, nodes[k].q)
+        doctored = NetworkInstance(capacity=inst.capacity, nodes=nodes)
+        found = validate_instance(doctored)
+        assert found == reference.validate_instance(doctored)
+        assert any(v.code == "cycle" for v in found)
+
+
+def test_unsorted_document_parses_like_its_sorted_form(worked_example):
+    doc = json.loads(load_fixture_text("worked_example.json"))
+    doc["nodes"].reverse()
+    shuffled = parse_instance(json.dumps(doc))
+    assert shuffled == worked_example
+    assert shuffled.ids == sorted(shuffled.ids)
+    assert serialize_instance(shuffled) == serialize_instance(worked_example)
+
+
+def test_duplicate_ids_keep_their_input_order():
+    first = NodeSpec("a", None, "internal")
+    second = NodeSpec("a", "a", "client", bw=1, w=1, q=1)
+    for nodes, expect in (([first, second], (first, second)), ([second, first], (second, first))):
+        inst = NetworkInstance(capacity=5, nodes=[NodeSpec("b", "a", "client", 1, 1, 1)] + nodes)
+        assert inst.nodes[:2] == expect
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_verify_and_write_build_no_nodespec_views(tmp_path, capsys, mode):
+    """Neither the library stages nor ``treeplace solve`` read the views."""
+    views = ("nodes", "by_id", "clients")
+    text = serialize_instance(parse_instance(load_fixture_text("worked_example.json")))
+    inst = parse_instance(text)
+    out = solve_instance(inst, mode=mode)
+    report = verify_placement(inst, set(out.replicas), mode=mode)
+    assert report.feasible and report.link_flows
+    assert serialize_instance(inst) == text
+    assert not any(view in vars(inst) for view in views)
+
+    parsed = []
+    real = cli.parse_instance
+
+    def keep(text):
+        parsed.append(real(text))
+        return parsed[-1]
+
+    cli.parse_instance = keep
+    try:
+        code = cli.main(["solve", str(FIXTURES / "worked_example.json"), "--mode", mode,
+                         "--trace", "--out", str(tmp_path / "out.json")])
+    finally:
+        cli.parse_instance = real
+    capsys.readouterr()
+    assert code == 0
+    assert not any(view in vars(parsed[0]) for view in views)

@@ -5,12 +5,9 @@ import pytest
 from treeplace.errors import GuardExceededError
 from treeplace.generator import GenConfig, generate
 from treeplace.instance import parse_instance
-from treeplace.oracle import (
-    DEFAULT_MAX_INTERNAL,
-    brute_force_min,
-    dual_role_brute_force_min,
-)
+from treeplace.oracle import DEFAULT_MAX_INTERNAL, brute_force_min
 from treeplace.solver import solve_instance
+from tests.reference import dual_role_brute_force_min
 
 
 def test_worked_example_exhaustive(worked_example):

@@ -4,7 +4,7 @@ import pytest
 
 from treeplace.errors import InfeasibleError
 from treeplace.generator import GenConfig, generate
-from treeplace.instance import NodeSpec, parse_instance
+from treeplace.instance import NetworkInstance, NodeSpec, parse_instance
 from treeplace.transform import (
     ARTIFICIAL_ROOT_ID,
     REASON_BUNDLE,
@@ -206,7 +206,8 @@ def test_bundle_rejects_exhausted_qos():
     # only reachable with q=0 input, which documents cannot express
     with pytest.raises(InfeasibleError) as err:
         _bundle_figures(
-            [NodeSpec("c1", "s", "client", bw=3, w=2, q=0)],
+            NetworkInstance(capacity=5, nodes=[NodeSpec("c1", "s", "client", bw=3, w=2, q=0)]),
+            [0],
             suppressed=True,
             leaf_id="s",
         )

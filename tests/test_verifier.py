@@ -8,12 +8,9 @@ from treeplace.generator import GenConfig, generate, small_corpus_config
 from treeplace.instance import parse_instance
 from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
-from treeplace.verifier import (
-    MODE_AGGREGATE,
-    closest_assignment,
-    verify_placement,
-    verify_star_placement,
-)
+from treeplace.verifier import MODE_AGGREGATE, closest_assignment, verify_placement
+from tests import reference
+from tests.reference import verify_star_placement
 
 
 def tiny(w=3, q=1, bw=9, W=10):
@@ -168,3 +165,30 @@ def test_report_document_is_sorted(worked_example):
     assert list(doc["assignment"]) == sorted(doc["assignment"])
     assert list(doc["server_loads"]) == sorted(doc["server_loads"])
     assert list(doc["link_flows"]) == sorted(doc["link_flows"])
+
+
+@pytest.mark.parametrize("mode", ["per-bundle", MODE_AGGREGATE])
+def test_report_matches_the_id_walking_reference(mode):
+    """Reports on random replica subsets equal the reference's, field by
+    field and in order, link flows included."""
+    compared = 0
+    for seed in range(80):
+        cfg = small_corpus_config(seed)
+        if seed % 4 == 3:
+            cfg = GenConfig(seed=seed, internal=60, clients=90, capacity=25,
+                            shape=("balanced", "path", "random")[seed % 3],
+                            weight_range=(0, 6), qos_range=(1, 5), bandwidth_range=(2, 14))
+        inst = generate(cfg)
+        internal = list(inst.internal_ids)
+        rng = random.Random(seed)
+        for _ in range(6):
+            replicas = set(rng.sample(internal, rng.randint(0, len(internal))))
+            got = verify_placement(inst, replicas, mode=mode)
+            want = reference.verify_placement(inst, replicas, mode)
+            assert list(got.assignment.items()) == list(want["assignment"].items())
+            assert list(got.server_loads.items()) == list(want["server_loads"].items())
+            assert got.violations == want["violations"]
+            assert got.link_flows == want["link_flows"]
+            assert closest_assignment(inst, replicas) == reference.closest_assignment(inst, replicas)
+            compared += 1
+    assert compared == 480
