@@ -27,13 +27,15 @@ bundle stops fitting. Row ``i`` of an internal node depends only on its
 children's values at ``i + 1`` and the bound, so row 0 is computed and
 row ``i >= 1`` only where one of those changes; memory stays within
 N * (L + 2) cells and the greedy runs only on rows whose inputs changed.
+Each computed row is one call of the greedy kernel ``equip_row`` on the
+node's children as parallel lists (keys, values, eligibility).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Sequence
 
 from .errors import InfeasibleError
 from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
@@ -44,76 +46,53 @@ INFINITE = math.inf
 REASON_EXHAUSTED = "no feasible assignment within capacity"
 
 
-class GreedyResult(NamedTuple):
-    selected: tuple  # chosen keys, ascending
-    residual: int | float  # sum of the contributions left outside the set
-    exhausted: bool  # ran out of eligible children while still over bound
+def equip_row(
+    keys: Sequence,
+    values: list,
+    eligible: Sequence[bool],
+    bound: int | float,
+    e0_size: int | None = None,
+    node: str | None = None,
+) -> tuple[tuple, int | float]:
+    """One table row of an internal node: ``(equip set, c)``.
 
+    The children come as parallel sequences: ``keys`` (ordered like ids;
+    phase 1 passes star indices), ``values`` (contributions at the row's
+    index + 1) and ``eligible``. When the sum fits under ``bound`` nothing
+    is equipped. Otherwise, while the residual exceeds the bound, the
+    eligible child with the largest contribution is equipped (ties:
+    smallest key); the set comes back ascending and ``c`` is the residual.
 
-def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
-    """Equip children greedily until the residual fits under ``bound``.
-
-    ``items`` yields ``(key, contribution, eligible)`` triples. While the
-    residual sum exceeds the bound, the eligible child with the largest
-    contribution is moved into the set (ties: smallest key). If eligible
-    children run out first the result is marked exhausted; the partial
-    set is still reported. When the whole sum already fits, nothing is
-    sorted and the set is empty.
+    ``e0_size`` is None for row 0, where running out of eligible children
+    means no replica assignment can serve the subtree at all: a global
+    infeasibility, reported against ``node``. At a deeper row, running out
+    (or an equip set whose size is not row 0's ``e0_size``) makes ``c``
+    infinite.
     """
-    entries = list(items)
-    total = sum([e[1] for e in entries])  # inf when some child cannot be absorbed
+    total = sum(values)  # inf when some child cannot be absorbed
     if total <= bound and total != INFINITE:
-        return GreedyResult((), total, False)
-    finite = 0
-    infinites = 0
-    for _key, contrib, _elig in entries:
-        if contrib == INFINITE:
-            infinites += 1
-        else:
-            finite += contrib
+        return (), INFINITE if e0_size else total
+    infinites = values.count(INFINITE)
+    residual = sum([c for c in values if c != INFINITE]) if infinites else total
     # Largest contribution first, ties in key order.
-    candidates = sorted([(-contrib, key) for key, contrib, elig in entries if elig])
+    candidates = sorted([(-c, k) for k, c, e in zip(keys, values, eligible) if e])
     chosen: list = []
     pos = 0
-    while infinites > 0 or finite > bound:
+    while infinites or residual > bound:
         if pos == len(candidates):
+            if e0_size is None:
+                raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
             chosen.sort()
-            return GreedyResult(tuple(chosen), INFINITE if infinites else finite, True)
+            return tuple(chosen), INFINITE
         neg, key = candidates[pos]
         pos += 1
         if neg == -INFINITE:
             infinites -= 1
         else:
-            finite += neg
+            residual += neg
         chosen.append(key)
     chosen.sort()
-    return GreedyResult(tuple(chosen), finite, False)
-
-
-def internal_node_update(
-    children: Iterable[tuple[str, int | float, bool]],
-    hops: int,
-    bound: int | float,
-    e0_size: int | None = None,
-    node: str | None = None,
-) -> tuple[tuple, int | float]:
-    """One table row for an internal node.
-
-    ``children`` carries ``(child key, contribution at hops+1, eligible)``;
-    keys order like ids (phase 1 passes star indices). At ``hops = 0`` an
-    exhausted greedy means no replica assignment can serve the subtree at
-    all, which is a global infeasibility, reported against ``node``. At
-    deeper indices exhaustion (or an equip set that outgrew the
-    ``hops = 0`` size ``e0_size``) just marks the row infinite.
-    """
-    result = greedy_e_set(children, bound)
-    if hops == 0:
-        if result.exhausted:
-            raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
-        return result.selected, result.residual
-    if result.exhausted or len(result.selected) != e0_size:
-        return result.selected, INFINITE
-    return result.selected, result.residual
+    return tuple(chosen), residual if e0_size in (None, len(chosen)) else INFINITE
 
 
 @dataclass(frozen=True)
@@ -146,18 +125,13 @@ class ContributionTable:
         ids = self.star.ids
         return tuple(ids[v] for v in self.star.id_order)
 
-    def row_at(self, v: int, hops: int) -> tuple:
-        """The ``(j, c, e)`` segment holding row ``hops`` of star index ``v``."""
-        for seg in reversed(self.segments[v]):
-            if seg[0] <= hops:
-                return seg
-        raise ValueError(f"index {hops} out of range")
-
     def _row(self, node: str, hops: int) -> tuple:
         v = self.star.index[node]
         if hops < 0 or hops > self.star.depths[v]:
             raise ValueError(f"index {hops} out of range for node {node!r}")
-        return self.row_at(v, hops)
+        for seg in reversed(self.segments[v]):  # segment 0 starts at 0
+            if seg[0] <= hops:
+                return seg
 
     def contribution(self, node: str, hops: int) -> int | float:
         return self._row(node, hops)[1]
@@ -239,7 +213,7 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
     bws = star.bws
     weights = star.weights
     qoses = star.qoses
-    eligible = star.eligibles.__getitem__
+    eligible = star.eligibles
     kids = star.kids
     depths = star.depths
     path_bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
@@ -266,28 +240,28 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
             continue
 
         below = kids[v]
+        elig = [eligible[k] for k in below]
         current: list = []  # child values at index 0, at i + 1 once row i's changes are in
         changes: dict[int, list] = {}  # row i -> (child position, value at i + 1) or (-1, bound)
         for pos, k in enumerate(below):
             segs = segments[k]
             c = segs[0][1]
             current.append(c)
-            for j, cj, _e in segs[1:]:
-                if j > rows + 1:
-                    break
-                if cj != c:  # not just a new equip set
-                    c = cj
-                    changes.setdefault(j - 1, []).append((pos, cj))
+            if len(segs) > 1:
+                for j, cj, _e in segs:
+                    if j > rows + 1:
+                        break
+                    if cj != c:  # not just a new equip set
+                        c = cj
+                        changes.setdefault(j - 1, []).append((pos, cj))
         for pos, val in changes.pop(0, ()):
             current[pos] = val
 
         name = ids[v]
-        e0, c0 = internal_node_update(
-            zip(below, current, map(eligible, below)), 0, capacity, None, name
-        )
-        e0_size = len(e0)
+        last_e, last_c = equip_row(below, current, elig, capacity, None, name)
+        e0_size = len(last_e)
         m_values[v] = sum(m_values[k] for k in below) + e0_size
-        segs = [(0, c0, e0)]
+        segs = [(0, last_c, last_e)]
         if path_bounds is not None:
             for i, b in path_bounds[v]:
                 changes.setdefault(i, []).append((-1, b))
@@ -298,12 +272,10 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
                     bound = val
                 else:
                     current[pos] = val
-            e, c = internal_node_update(
-                zip(below, current, map(eligible, below)), i, bound, e0_size, name
-            )
-            last = segs[-1]
-            if c != last[1] or e != last[2]:
+            e, c = equip_row(below, current, elig, bound, e0_size, name)
+            if c != last_c or e != last_e:
                 segs.append((i, c, e))
+                last_e, last_c = e, c
         segments[v] = segs
 
     return ContributionTable(star, segments, m_values)

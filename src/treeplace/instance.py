@@ -178,6 +178,8 @@ def load_document(text: str, what: str) -> Any:
         raise MalformedDocumentError(f"{what}: {exc}") from exc
     except RecursionError:
         raise MalformedDocumentError(f"{what}: arrays or objects nested too deeply") from None
+    except ValueError as exc:  # such as an integer literal past the interpreter's digit limit
+        raise MalformedDocumentError(f"{what}: {exc}") from None
 
 
 def _columns(raws: list) -> tuple[list, ...]:
@@ -234,6 +236,7 @@ def parse_instance(text: str) -> NetworkInstance:
     that verdict (see ``NetworkInstance.violations``).
     """
     doc = load_document(text, "invalid JSON")
+    del text  # frees the document text unless the caller still holds it
     if not isinstance(doc, dict):
         raise MalformedDocumentError("document root must be an object")
     if not doc.keys() <= _TOP_FIELDS:

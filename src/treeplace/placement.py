@@ -5,7 +5,8 @@ Starting at the artificial root with hop index 0, each visit of
 child: equipped children restart at index 0, the rest carry ``i + 1``
 (their nearest equipped ancestor is one hop further away). Traversal is
 an explicit stack over star indices so degenerate path trees of depth
-1e5 are fine.
+1e5 are fine. The walk reads the tables' change-point segments directly
+and records no visits; ``PlacementResult.trace`` re-runs it on first read.
 """
 
 from __future__ import annotations
@@ -22,53 +23,71 @@ from .transform import StarTree
 REASON_ROOT_OVERLOAD = "workload at the root exceeds capacity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementResult:
-    """The replica set and the traversal that found it.
+    """The replica set, and the star tree and tables that found it.
 
-    Equality covers the traversal (``visits`` and the ``ids`` they index),
-    so two results with different traces differ; the hash leaves those
-    lists out.
+    Equality covers the traversal (``trace``), so two results with
+    different traces differ; the hash leaves it out.
     """
 
     replicas_original: tuple[str, ...]  # original internal node ids, ascending
     cardinality: int
-    # (star index, hop index, equipped child indices) per visit, in visit order
-    visits: list = field(repr=False, hash=False)
-    ids: list[str] = field(repr=False, hash=False)  # star index -> id
+    star: StarTree = field(repr=False)
+    table: ContributionTable = field(repr=False)
 
     @cached_property
     def trace(self) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
-        """``(node, index, placed)`` per visit, by id; built on first read."""
-        ids = self.ids
-        return tuple((ids[v], i, tuple(ids[c] for c in e)) for v, i, e in self.visits)
+        """``(node, index, placed)`` per visit, by id; re-walked on first read."""
+        visits: list = []
+        _walk(self.star, self.table, visits)
+        ids = self.star.ids
+        return tuple((ids[v], i, tuple(ids[c] for c in e)) for v, i, e in visits)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlacementResult):
+            return NotImplemented
+        return self.trace == other.trace  # the trace names every replica
+
+    def __hash__(self) -> int:
+        return hash((self.replicas_original, self.cardinality))
+
+
+def _walk(star: StarTree, table: ContributionTable, visits: list | None = None) -> list[int]:
+    """The star indices the tables equip, in visit order; appends ``(star
+    index, hop index, equipped child indices)`` per visit to ``visits``."""
+    kids = star.kids
+    eligibles = star.eligibles
+    segments = table.segments
+    placed: list[int] = []
+    stack: list[tuple[int, int]] = [(star.root, 0)]
+    pop = stack.pop
+    while stack:
+        v, idx = pop()
+        if not eligibles[v]:  # a merged client bundle
+            if visits is not None:
+                visits.append((v, idx, ()))
+            continue
+        for start, _c, e_set in reversed(segments[v]):  # the row at idx
+            if start <= idx:
+                break
+        if visits is not None:
+            visits.append((v, idx, e_set))
+        placed += e_set
+        stack += [(c, 0 if c in e_set else idx + 1) for c in reversed(kids[v])]
+    return placed
 
 
 def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
     """Walk the tree and collect the replica set recorded in the tables.
 
-    The trace logs every call in deterministic preorder (children in
-    ascending id order), including calls on ineligible leaves. The
-    resulting cardinality must equal the table's minimum count; any
-    mismatch is a solver bug.
+    The walk visits in deterministic preorder (children in ascending id
+    order), including ineligible leaves; ``PlacementResult.trace`` lists
+    those visits. The resulting cardinality must equal the table's
+    minimum count; any mismatch is a solver bug.
     """
-    kids = star.kids
     eligibles = star.eligibles
-    row_at = table.row_at
-    placed: list[int] = []
-    visits: list[tuple[int, int, tuple]] = []
-
-    stack: list[tuple[int, int]] = [(star.root, 0)]
-    while stack:
-        v, idx = stack.pop()
-        if not eligibles[v]:  # a merged client bundle
-            visits.append((v, idx, ()))
-            continue
-        e_set = row_at(v, idx)[2]
-        visits.append((v, idx, e_set))
-        placed.extend(e_set)
-        stack.extend((c, 0 if c in e_set else idx + 1) for c in reversed(kids[v]))
-
+    placed = _walk(star, table)
     for r in placed:
         if not eligibles[r]:
             raise ContractViolationError(f"replica placed on ineligible leaf {star.ids[r]!r}")
@@ -77,11 +96,12 @@ def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
             f"placed {len(placed)} replicas, tables promised {table.min_replica_count}"
         )
     placed.sort()  # index order is id order; a star id is the original node's id
+    ids = star.ids
     return PlacementResult(
-        replicas_original=tuple(star.ids[r] for r in placed),
+        replicas_original=tuple([ids[r] for r in placed]),
         cardinality=len(placed),
-        visits=visits,
-        ids=star.ids,
+        star=star,
+        table=table,
     )
 
 

@@ -9,15 +9,19 @@ id-keyed views, and shares no code with the program's own version:
 * ``dual_role_brute_force_min`` is the exhaustive minimum on the
   dual-role model, where every node may both demand and serve;
 * ``min_bw_on_path`` and ``leaf_contribution`` are the leaf row formula
-  that phase 1 inlines as an upward walk.
+  that phase 1 inlines as an upward walk;
+* ``greedy_e_set`` and ``internal_node_update`` are the internal row rule
+  that phase 1's ``equip_row`` kernel computes in one call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable, NamedTuple
 
-from treeplace.errors import GuardExceededError, StructureError
+from treeplace.contribution import REASON_EXHAUSTED
+from treeplace.errors import GuardExceededError, InfeasibleError, StructureError
 from treeplace.instance import (
     KIND_CLIENT,
     MODE_AGGREGATE,
@@ -294,6 +298,60 @@ def leaf_contribution(leaf: StarLeaf, hops: int, path_min_bw: int | float) -> in
     if hops <= leaf.qos and leaf.weight <= path_min_bw:
         return leaf.weight
     return INFINITE
+
+
+class GreedyResult(NamedTuple):
+    selected: tuple  # chosen keys, ascending
+    residual: int | float  # sum of the contributions left outside the set
+    exhausted: bool  # ran out of eligible children while still over bound
+
+
+def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
+    """Equip children greedily until the residual fits under ``bound``.
+
+    ``items`` yields ``(key, contribution, eligible)`` triples in any
+    order. While the residual sum exceeds the bound, the eligible child
+    with the largest contribution is moved into the set (ties: smallest
+    key). If eligible children run out first the result is marked
+    exhausted; the partial set is still reported.
+    """
+    left = list(items)
+    chosen: list = []
+    while True:
+        residual = sum(c for _k, c, _e in left)
+        if residual != INFINITE and residual <= bound:
+            return GreedyResult(tuple(sorted(chosen)), residual, False)
+        pool = [e for e in left if e[2]]
+        if not pool:
+            return GreedyResult(tuple(sorted(chosen)), residual, True)
+        best = min(pool, key=lambda e: (-e[1], e[0]))
+        left.remove(best)
+        chosen.append(best[0])
+
+
+def internal_node_update(
+    children: Iterable[tuple],
+    hops: int,
+    bound: int | float,
+    e0_size: int | None = None,
+    node: str | None = None,
+) -> tuple[tuple, int | float]:
+    """One table row for an internal node, ``(equip set, c)``.
+
+    ``children`` carries ``(child key, contribution at hops+1, eligible)``.
+    At ``hops = 0`` an exhausted greedy means no replica assignment can
+    serve the subtree at all, a global infeasibility reported against
+    ``node``. At deeper indices exhaustion, or an equip set that is not
+    the ``hops = 0`` size ``e0_size``, marks the row infinite.
+    """
+    result = greedy_e_set(children, bound)
+    if hops == 0:
+        if result.exhausted:
+            raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
+        return result.selected, result.residual
+    if result.exhausted or len(result.selected) != e0_size:
+        return result.selected, INFINITE
+    return result.selected, result.residual
 
 
 # --- dual-role networks -------------------------------------------------------

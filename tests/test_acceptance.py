@@ -21,7 +21,7 @@ from treeplace.cli import bench_once
 from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
-    internal_node_update,
+    equip_row,
     run_phase1,
 )
 from treeplace.errors import InfeasibleError
@@ -157,12 +157,11 @@ def test_criterion_1_narrated_micro_tables(capsys):
     row = tuple(leaf_contribution(lf, i, 4 if i else INF) for i in range(5))
     ok = row == (3, 3, 3, INF, INF)
 
-    e_set, c_val = internal_node_update([("o", 4, True), ("p", 12, True)],
-                                        hops=0, bound=15)
+    e_set, c_val = equip_row(["o", "p"], [4, 12], [True, True], bound=15)
     ok = ok and e_set == ("p",) and c_val == 4
 
-    children = [("g", INF, True), ("h", 8, True), ("i", INF, True), ("x", 3, False)]
-    e_set, c_val = internal_node_update(children, hops=0, bound=15)
+    e_set, c_val = equip_row(["g", "h", "i", "x"], [INF, 8, INF, 3],
+                             [True, True, True, False], bound=15)
     ok = ok and len(e_set) == 2 and c_val == 11
 
     elapsed = time.perf_counter() - start

@@ -1,9 +1,13 @@
 """End-to-end runs through cli.main with in-process argv."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeplace.cli as cli
 from treeplace.cli import AGGREGATE_NOTICE, main
@@ -415,13 +419,16 @@ def test_missing_file_is_reported(capsys):
     ids=["solve", "verify-solution", "verify-instance", "gen-fictivize", "transform",
          "inspect", "oracle"],
 )
-@pytest.mark.parametrize("content", ["deep", "not-utf8"])
+@pytest.mark.parametrize("content", ["deep", "not-utf8", "long-int"])
 def test_hostile_documents_give_one_error_line(tmp_path, capsys, argv, content):
-    """A document nested 200,000 levels deep, or not UTF-8 at all: exit 1,
-    one ``error:`` line, no traceback."""
+    """A document nested 200,000 levels deep, one that is not UTF-8 at all,
+    or one with a 5,000-digit integer: exit 1, one ``error:`` line, no
+    traceback."""
     path = tmp_path / "hostile.json"
     if content == "deep":
         path.write_text("[" * 200_000 + "]" * 200_000)
+    elif content == "long-int":
+        path.write_text('{"W": ' + "7" * 5_000 + ', "nodes": []}')
     else:
         path.write_bytes(b'{"W": 3, "nodes": [{"id": "\xff\xfe"}]}')
     code, out, err = run(capsys, *(a.format(doc=path) for a in argv))
@@ -429,3 +436,83 @@ def test_hostile_documents_give_one_error_line(tmp_path, capsys, argv, content):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# --- fuzzing: any document through main() ---------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_NAMES = [f"v{k}" for k in range(9)]
+_VALUES = st.none() | st.integers(-2, 12) | st.sampled_from(_NAMES) | _JSON
+
+
+@st.composite
+def _trees(draw, dual_role: bool) -> dict:
+    """A valid tree document (instance, or dual-role network) of 2-9 nodes;
+    with one field then overwritten, added or dropped half of the time, so
+    that validation, the transform, phase 1 and the verifier all run."""
+    size = draw(st.integers(2, 9))
+    ids = draw(st.permutations(_NAMES))[:size]
+    up = [None] + [draw(st.integers(0, i - 1)) for i in range(1, size)]
+    nodes = []
+    for i, node_id in enumerate(ids):
+        bw = None if i == 0 else draw(st.integers(0, 12))
+        node = {"id": node_id, "parent": None if i == 0 else ids[up[i]], "bw": bw}
+        leaf = i not in up
+        if dual_role:
+            node["demand"] = [draw(st.integers(0, 9)), draw(st.integers(0, 4))] if leaf else None
+        else:
+            node["kind"] = "client" if leaf else "internal"
+            if leaf:
+                node.update(w=draw(st.integers(0, 9)), q=draw(st.integers(1, 5)))
+            if bw is None:
+                del node["bw"]
+        nodes.append(node)
+    doc = {"capacity" if dual_role else "W": draw(st.integers(1, 20)), "nodes": nodes}
+    if draw(st.booleans()):
+        where = nodes[draw(st.integers(0, size - 1))] if draw(st.booleans()) else doc
+        field = draw(st.sampled_from(sorted(where) + ["x"]))
+        if draw(st.booleans()):
+            where.pop(field, None)
+        else:
+            where[field] = draw(_VALUES)
+    return doc
+
+
+_SOLUTIONS = st.fixed_dictionaries(
+    {"replicas": st.lists(st.sampled_from("abcdgijkx") | _JSON, max_size=4) | _JSON}
+)
+_DOCUMENTS = st.binary(max_size=64) | st.one_of(
+    _JSON, _trees(False), _trees(True), _SOLUTIONS
+).map(lambda d: json.dumps(d).encode())
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    solution = folder / "solution.json"
+    solution.write_text(json.dumps({"replicas": _NAMES[::2]}))
+    return folder / "doc.json", str(solution)
+
+
+@given(doc=_DOCUMENTS)
+@settings(max_examples=150, deadline=None)
+def test_any_document_exits_cleanly(fuzz_paths, doc):
+    """Any byte string or JSON value, as an instance, a solution or a
+    dual-role document: exit status 0, 1 or 2 and no traceback."""
+    path, solution = fuzz_paths
+    path.write_bytes(doc)
+    path = str(path)
+    for argv in (
+        ["solve", path], ["solve", path, "--mode", "aggregate", "--trace"],
+        ["verify", path, solution], ["verify", WORKED, path],
+        ["transform", path], ["inspect", path], ["gen", "--fictivize", path],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

@@ -10,15 +10,20 @@ from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
     MODE_PER_BUNDLE,
-    greedy_e_set,
-    internal_node_update,
+    REASON_EXHAUSTED,
+    equip_row,
     run_phase1,
 )
 from treeplace.errors import InfeasibleError
 from treeplace.generator import SHAPES, GenConfig, generate
 from treeplace.instance import parse_instance
 from treeplace.transform import StarLeaf, transform_to_star
-from tests.reference import leaf_contribution, min_bw_on_path
+from tests.reference import (
+    greedy_e_set,
+    internal_node_update,
+    leaf_contribution,
+    min_bw_on_path,
+)
 
 INF = INFINITE
 
@@ -77,39 +82,33 @@ def test_zero_weight_leaf_contributes_zero_everywhere():
         assert leaf_contribution(leaf(0, 1), hops, bw) == 0
 
 
-# --- unit: greedy selection ----------------------------------------------
+# --- unit: greedy selection (the equip_row kernel) -------------------------
 
 
 def test_greedy_two_children_removes_biggest():
-    res = greedy_e_set([("o", 4, True), ("p", 12, True)], bound=15)
-    assert res.selected == ("p",)
-    assert res.residual == 4
-    assert not res.exhausted
+    assert equip_row(["o", "p"], [4, 12], [True, True], 15) == (("p",), 4)
 
 
 def test_greedy_tie_breaks_on_smallest_id():
-    res = greedy_e_set([("zz", 9, True), ("aa", 9, True)], bound=10)
-    assert res.selected == ("aa",)
-    assert res.residual == 9
+    assert equip_row(["zz", "aa"], [9, 9], [True, True], 10) == (("aa",), 9)
 
 
 def test_greedy_ineligible_overload_exhausts():
-    res = greedy_e_set([("x", 20, False)], bound=15)
-    assert res.exhausted
-    assert res.selected == ()
-    assert res.residual == 20
+    with pytest.raises(InfeasibleError):
+        equip_row(["x"], [20], [False], 15)
+    assert equip_row(["x"], [20], [False], 15, e0_size=0) == ((), INF)
+    assert greedy_e_set([("x", 20, False)], bound=15) == ((), 20, True)
 
 
 def test_greedy_unremovable_infinite_exhausts():
-    res = greedy_e_set([("x", INF, False), ("a", 2, True)], bound=15)
-    assert res.exhausted
-    assert res.selected == ("a",)
-    assert res.residual == INF
+    with pytest.raises(InfeasibleError):
+        equip_row(["x", "a"], [INF, 2], [False, True], 15)
+    assert equip_row(["x", "a"], [INF, 2], [False, True], 15, e0_size=1) == (("a",), INF)
+    assert greedy_e_set([("x", INF, False), ("a", 2, True)], bound=15) == (("a",), INF, True)
 
 
 def test_greedy_empty_children():
-    res = greedy_e_set([], bound=3)
-    assert res == ((), 0, False)
+    assert equip_row([], [], [], 3) == ((), 0)
 
 
 @given(
@@ -125,62 +124,69 @@ def test_greedy_empty_children():
 )
 @settings(max_examples=300, deadline=None)
 def test_greedy_properties(items, bound):
-    triples = [(f"k{num:02d}_{j}", c, e) for j, (c, num, e) in enumerate(items)]
-    res = greedy_e_set(triples, bound)
-    by_key = dict((k, (c, e)) for k, c, e in triples)
-    # only eligible children are ever picked, each at most once
-    assert len(set(res.selected)) == len(res.selected)
-    assert all(by_key[k][1] for k in res.selected)
-    if res.exhausted:
+    keys = [f"k{num:02d}_{j}" for j, (_c, num, _e) in enumerate(items)]
+    values = [c for c, _num, _e in items]
+    elig = [e for _c, _num, e in items]
+    by_key = dict(zip(keys, zip(values, elig)))
+    try:
+        selected, residual = equip_row(keys, values, elig, bound)
+    except InfeasibleError:
+        # row 0 ran out; a deeper row reports the partial set as infinite
+        selected, residual = equip_row(keys, values, elig, bound, e0_size=0)
+        assert residual == INF
         # everything eligible is in, and the rest still does not fit
-        assert set(res.selected) == {k for k, c, e in triples if e}
-        left = [c for k, c, e in triples if k not in set(res.selected)]
+        assert set(selected) == {k for k, e in zip(keys, elig) if e}
+        left = [c for k, c in zip(keys, values) if k not in set(selected)]
         assert any(c == INF for c in left) or sum(left) > bound
-        assert res.residual == (INF if any(c == INF for c in left) else sum(left))
-    else:
-        left = [c for k, c, e in triples if k not in set(res.selected)]
-        assert res.residual == sum(left) <= bound
-        # greedy certificate: putting any chosen child back breaks the bound
-        for k in res.selected:
-            c = by_key[k][0]
-            assert c == INF or res.residual + c > bound
+        return
+    # only eligible children are ever picked, each at most once, ascending
+    assert len(set(selected)) == len(selected)
+    assert all(by_key[k][1] for k in selected)
+    assert list(selected) == sorted(selected)
+    left = [c for k, c in zip(keys, values) if k not in set(selected)]
+    assert residual == sum(left) <= bound
+    # greedy certificate: putting any chosen child back breaks the bound
+    for k in selected:
+        c = by_key[k][0]
+        assert c == INF or residual + c > bound
+    # a deeper row keeps c only at row 0's equip-set size
+    assert equip_row(keys, values, elig, bound, len(selected)) == (selected, residual)
+    assert equip_row(keys, values, elig, bound, len(selected) + 1) == (selected, INF)
 
 
 # --- unit: internal-node row ----------------------------------------------
 
 
 def test_internal_update_narrated_j():
-    e_set, c_val = internal_node_update(
-        [("o", 4, True), ("p", 12, True)], hops=0, bound=15
-    )
+    e_set, c_val = equip_row(["o", "p"], [4, 12], [True, True], bound=15)
     assert e_set == ("p",)
     assert c_val == 4
 
 
 def test_internal_update_narrated_c():
-    children = [("g", INF, True), ("h", 8, True), ("i", INF, True), ("x", 3, False)]
-    e_set, c_val = internal_node_update(children, hops=0, bound=15)
+    e_set, c_val = equip_row(
+        ["g", "h", "i", "x"], [INF, 8, INF, 3], [True, True, True, False], bound=15
+    )
     assert len(e_set) == 2
     assert e_set == ("g", "i")
     assert c_val == 11
 
 
 def test_internal_update_exhausted_at_zero_is_infeasible():
-    with pytest.raises(InfeasibleError):
-        internal_node_update([("x", 20, False)], hops=0, bound=15)
+    with pytest.raises(InfeasibleError) as info:
+        equip_row(["x"], [20], [False], bound=15, node="v")
+    assert (info.value.reason, info.value.details) == (REASON_EXHAUSTED, ("v",))
 
 
 def test_internal_update_exhausted_deeper_is_infinite():
-    e_set, c_val = internal_node_update([("x", 20, False)], hops=2, bound=15, e0_size=0)
+    e_set, c_val = equip_row(["x"], [20], [False], bound=15, e0_size=0)
     assert c_val == INF
     assert e_set == ()
 
 
 def test_internal_update_set_growth_is_infinite():
     # fits, but only by equipping more children than level 0 used
-    e_set, c_val = internal_node_update(
-        [("u", 9, True), ("v", 9, True)], hops=1, bound=10, e0_size=0
-    )
+    e_set, c_val = equip_row(["u", "v"], [9, 9], [True, True], bound=10, e0_size=0)
     assert e_set == ("u",)
     assert c_val == INF
 
@@ -265,15 +271,16 @@ def test_rows_past_zero_are_computed_only_where_inputs_change(monkeypatch):
     ]}
     star = transform_to_star(parse_instance(json.dumps(doc)))
     calls = []
-    real = contribution.internal_node_update
+    real = contribution.equip_row
     monkeypatch.setattr(
-        contribution, "internal_node_update",
-        lambda children, hops, *rest: calls.append(hops) or real(children, hops, *rest),
+        contribution, "equip_row",
+        lambda keys, values, elig, bound, e0_size=None, node=None:
+            calls.append(e0_size) or real(keys, values, elig, bound, e0_size, node),
     )
     table = run_phase1(star)
     internal = [v for v in star.preorder if star.weights[v] is None]
     assert len(internal) == 3  # the artificial root, r and a
-    assert calls == [0] * len(internal)
+    assert calls == [None] * len(internal)  # row 0 only
     assert table.min_replica_count == 3
     assert table.table("a").c_row == (0, 0)
     assert table.table("a").e_row == (("s", "t"), ("s", "t"))
@@ -329,9 +336,9 @@ def test_leaf_rows_match_leaf_contribution(seed):
 @pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
-    """Every internal row i, computed or carried over from row i - 1, is
-    internal_node_update of the children's values at i + 1 (clamped to their
-    last row) under the mode's bound. Mixed qos and narrow links make rows
+    """Every internal row i, computed or carried over from row i - 1, is the
+    reference spec ``internal_node_update`` of the children's values at
+    i + 1 (clamped to their last row) under the mode's bound. Mixed qos and narrow links make rows
     change past index 1, so the change points are exercised."""
     checked = changed = 0
     for seed in range(30):
