@@ -32,7 +32,7 @@ from .instance import (
 )
 from .oracle import OracleResult, brute_force_min
 from .placement import PlacementResult, place_replicas
-from .solver import SolveOutput, solve_instance
+from .solver import solve_instance
 from .transform import StarTree, transform_to_star
 from .verifier import FeasibilityReport, closest_assignment, verify_placement
 
@@ -54,7 +54,6 @@ __all__ = [
     "OracleResult",
     "PlacementResult",
     "RoleError",
-    "SolveOutput",
     "SolverError",
     "StarTree",
     "StructureError",

@@ -74,7 +74,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _text(json.dumps, doc, indent=2, sort_keys=True) + "\n"
+
+
+def _text(render, *args, **kwargs) -> str:
+    """``render(...)``, where a sum of document integers past the digit limit for text is an error."""
+    try:
+        return render(*args, **kwargs)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise MalformedDocumentError(f"a number in the result has over {limit} digits") from None
 
 
 def _mode_notice(mode: str) -> None:
@@ -123,20 +132,17 @@ def _solve(args: argparse.Namespace) -> int:
         _write_text(args.out, _dump(doc))
         return 2
 
-    # Independent self-check before anything is written. A failure here is
-    # a solver defect, not a property of the instance.
-    check_modes = [MODE_PER_BUNDLE]
-    if args.mode == MODE_AGGREGATE:
-        check_modes.append(MODE_AGGREGATE)
-    for check_mode in check_modes:
-        report = verify_placement(inst, set(out.replicas), mode=check_mode)
-        if not report.feasible:
-            print(
-                "SOLVER DEFECT: solution failed independent verification "
-                f"({check_mode}): {report.violations[0]}",
-                file=sys.stderr,
-            )
-            return 1
+    # Independent self-check before anything is written, in the mode
+    # solved for: aggregate feasibility implies per-bundle feasibility. A
+    # failure here is a solver defect, not a property of the instance.
+    report = verify_placement(inst, set(out.replicas), mode=args.mode)
+    if not report.feasible:
+        print(
+            "SOLVER DEFECT: solution failed independent verification "
+            f"({args.mode}): {report.violations[0]}",
+            file=sys.stderr,
+        )
+        return 1
 
     doc = {
         "feasible": True,
@@ -145,7 +151,7 @@ def _solve(args: argparse.Namespace) -> int:
         "count": out.cardinality,
     }
     if args.trace:
-        doc["trace"] = [[node, idx, sorted(placed)] for node, idx, placed in out.placement.trace]
+        doc["trace"] = [[node, idx, sorted(placed)] for node, idx, placed in out.trace]
     _write_text(args.out, _dump(doc))
     return 0
 
@@ -253,11 +259,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    try:
-        star = transform_to_star(inst)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc.reason}: {list(exc.details)}", file=sys.stderr)
-        return 2
+    star = transform_to_star(inst)
     _write_text(args.out, star_to_document(star))
     return 0
 
@@ -320,12 +322,8 @@ def _layout(grid: list[list[str]]) -> str:
 def cmd_inspect(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
     _mode_notice(args.mode)
-    try:
-        star = transform_to_star(inst)
-        table = run_phase1(star, mode=args.mode)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc.reason}: {list(exc.details)}", file=sys.stderr)
-        return 2
+    star = transform_to_star(inst)
+    table = run_phase1(star, mode=args.mode)
     _write_text(args.out, _render_tables(star, table))
     return 0
 
@@ -355,14 +353,6 @@ def bench_config(n: int, qos: int, seed: int) -> GenConfig:
     )
 
 
-def bench_once(n: int, qos: int, seed: int = 7) -> float:
-    """Wall-clock seconds to solve one generated instance of ~n nodes."""
-    inst = generate(bench_config(n, qos, seed))
-    start = time.perf_counter()
-    solve_instance(inst)
-    return time.perf_counter() - start
-
-
 BENCH_STAGES = ("parse", "transform", "phase1", "place", "root_check", "verify", "write")
 
 
@@ -384,9 +374,9 @@ def bench_stages(n: int, qos: int, seed: int = 7) -> tuple[int, list[float]]:
         star = lap(transform_to_star(inst))
         placement = lap(place_replicas(star, lap(run_phase1(star))))
         lap(root_workload_check(star, placement))
-        lap(verify_placement(inst, set(placement.replicas_original)))
+        lap(verify_placement(inst, set(placement.replicas)))
         doc = {"feasible": True, "mode": MODE_PER_BUNDLE,
-               "replicas": list(placement.replicas_original), "count": placement.cardinality}
+               "replicas": list(placement.replicas), "count": placement.cardinality}
         lap(_write_text(os.devnull, _dump(doc)))
     finally:
         if was_enabled:
@@ -514,7 +504,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except InfeasibleError as exc:  # transform, inspect; solve writes a document
+            print(f"infeasible: {exc.reason}: {_text(str, list(exc.details))}", file=sys.stderr)
+            return 2
     except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

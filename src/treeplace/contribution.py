@@ -18,8 +18,8 @@ minimality, so such rows are ``inf``.
 
 Rows are computed for ``i <= min(depth(v), L + 1)`` where ``L`` is the
 largest leaf qos: beyond that index every child contribution is ``inf``
-(or 0 for empty bundles) and all rows are provably identical, so the
-accessors clamp instead of storing duplicates.
+(or 0 for empty bundles) and all rows are provably identical, so
+``table`` lists rows only up to that index: a deeper one reads as the last.
 
 Within that range a row is stored only where it differs from the row
 before it (a change point). A leaf has at most one: the hop where its
@@ -112,7 +112,7 @@ class ContributionTable:
     ``segments[v]`` lists ``(j, c, e)`` for ``j = 0`` and every later row
     index where node ``v``'s row differs from row ``j - 1``; ``e`` holds
     child indices. Row ``i`` is the last segment starting at or before
-    ``i``. The id-keyed accessors build their answers on each call.
+    ``i``. ``table``, the one id-keyed reader, builds its rows on each call.
     """
 
     def __init__(self, star: StarTree, segments: list, m_values: list[int]):
@@ -124,24 +124,6 @@ class ContributionTable:
     def nodes(self) -> tuple[str, ...]:
         ids = self.star.ids
         return tuple(ids[v] for v in self.star.id_order)
-
-    def _row(self, node: str, hops: int) -> tuple:
-        v = self.star.index[node]
-        if hops < 0 or hops > self.star.depths[v]:
-            raise ValueError(f"index {hops} out of range for node {node!r}")
-        for seg in reversed(self.segments[v]):  # segment 0 starts at 0
-            if seg[0] <= hops:
-                return seg
-
-    def contribution(self, node: str, hops: int) -> int | float:
-        return self._row(node, hops)[1]
-
-    def equip_set(self, node: str, hops: int) -> tuple[str, ...]:
-        ids = self.star.ids
-        return tuple(ids[c] for c in self._row(node, hops)[2])
-
-    def m_of(self, node: str) -> int:
-        return self._m[self.star.index[node]]
 
     def table(self, node: str) -> NodeTable:
         star = self.star

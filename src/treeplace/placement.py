@@ -31,7 +31,7 @@ class PlacementResult:
     different traces differ; the hash leaves it out.
     """
 
-    replicas_original: tuple[str, ...]  # original internal node ids, ascending
+    replicas: tuple[str, ...]  # original internal node ids, ascending
     cardinality: int
     star: StarTree = field(repr=False)
     table: ContributionTable = field(repr=False)
@@ -50,7 +50,7 @@ class PlacementResult:
         return self.trace == other.trace  # the trace names every replica
 
     def __hash__(self) -> int:
-        return hash((self.replicas_original, self.cardinality))
+        return hash((self.replicas, self.cardinality))
 
 
 def _walk(star: StarTree, table: ContributionTable, visits: list | None = None) -> list[int]:
@@ -98,7 +98,7 @@ def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
     placed.sort()  # index order is id order; a star id is the original node's id
     ids = star.ids
     return PlacementResult(
-        replicas_original=tuple([ids[r] for r in placed]),
+        replicas=tuple([ids[r] for r in placed]),
         cardinality=len(placed),
         star=star,
         table=table,
@@ -117,7 +117,7 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
     ancestor-or-self (-1: none below the artificial root).
     """
     ids = star.ids
-    equipped = {bisect_left(ids, r, 0, star.root) for r in result.replicas_original}  # id order
+    equipped = {bisect_left(ids, r, 0, star.root) for r in result.replicas}  # id order
     parents = star.parents
     weights = star.weights
     eligibles = star.eligibles

@@ -2,31 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .contribution import ContributionTable, run_phase1
+from .contribution import run_phase1
 from .instance import MODE_PER_BUNDLE, NetworkInstance
 from .placement import PlacementResult, place_replicas, root_workload_check
-from .transform import StarTree, transform_to_star
+from .transform import transform_to_star
 
 
-@dataclass(frozen=True)
-class SolveOutput:
-    star: StarTree
-    table: ContributionTable
-    placement: PlacementResult
-
-    @property
-    def replicas(self) -> tuple[str, ...]:
-        return self.placement.replicas_original
-
-    @property
-    def cardinality(self) -> int:
-        return self.placement.cardinality
-
-
-def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE) -> SolveOutput:
-    """Compute a minimum replica set for a validated instance.
+def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE) -> PlacementResult:
+    """Compute a minimum replica set for a validated instance: the
+    ``PlacementResult``, which also holds the star tree and the tables.
 
     Raises InfeasibleError (a domain outcome, not a defect) when no
     replica set can satisfy the constraints. The independent feasibility
@@ -34,7 +18,6 @@ def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE) -> SolveO
     separate check so the two implementations stay decoupled.
     """
     star = transform_to_star(inst)
-    table = run_phase1(star, mode=mode)
-    placement = place_replicas(star, table)
+    placement = place_replicas(star, run_phase1(star, mode=mode))
     root_workload_check(star, placement)
-    return SolveOutput(star=star, table=table, placement=placement)
+    return placement

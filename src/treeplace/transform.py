@@ -71,10 +71,6 @@ class StarNode:
     bw: int | float | None  # bandwidth of the link to parent; None on the root
     leaf: StarLeaf | None  # None for internal nodes
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
 
 @dataclass(frozen=True, eq=False)
 class StarTree:
@@ -153,7 +149,7 @@ class StarTree:
 
     @cached_property
     def leaves(self) -> tuple[StarNode, ...]:
-        return tuple(n for n in self.nodes if n.is_leaf)
+        return tuple(n for n in self.nodes if n.leaf is not None)
 
 
 def _bundle_figures(inst: NetworkInstance, clients: list, *, suppressed: bool, leaf_id: str) -> tuple:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from treeplace.cli import bench_once
+from treeplace.cli import bench_config
 from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
@@ -181,7 +181,7 @@ def test_criterion_2_worked_example_reconstruction(capsys, worked_example):
     for node, (c_row, e_row, m) in INTERNAL_ROWS.items():
         got = table.table(node)
         ok = ok and got.c_row == c_row and got.e_row == e_row
-        ok = ok and table.m_of(node) == m
+        ok = ok and got.m_value == m
 
     readme = Path(__file__).resolve().parent.parent / "fixtures" / "README.md"
     text = readme.read_text(encoding="utf-8") if readme.exists() else ""
@@ -254,16 +254,24 @@ def test_criterion_5_invariant_battery(capsys):
             if star.by_id[node].leaf is None:
                 # greedy certificate: no equipped child could be put back
                 for x in t.e_row[0]:
-                    val = table.contribution(x, 1)
+                    val = table.table(x).c_row[1]
                     if val != INF and t.c_row[0] + val <= bound:
                         problems.append(f"e({node},0) not minimal: {x}")
         if out is not None:
-            if len(out.replicas) != table.m_of(star.root_plus):
+            if len(out.replicas) != table.min_replica_count:
                 problems.append("placed count != m(T*)")
     ok = len(rows) >= 1000 and not problems
     detail = f"{len(rows)} instances, 0 failures" if ok else \
         f"{len(rows)} instances, {problems[:3]}"
     _speak(capsys, 5, "invariant-battery", ok, detail)
+
+
+def bench_once(n: int, qos: int, seed: int = 7) -> float:
+    """Wall-clock seconds to solve one generated instance of ~n nodes."""
+    inst = generate(bench_config(n, qos, seed))
+    start = time.perf_counter()
+    solve_instance(inst)
+    return time.perf_counter() - start
 
 
 def test_criterion_6_scaling(capsys):

@@ -1,12 +1,15 @@
-"""The benchmark's traced run wraps and reads program names; keep them working.
+"""The benchmark's runs wrap and read program names; keep them working.
 
 ``perfbench/tracing.py`` replaces the functions listed in its ``WRAPPED``
-table and reads attributes of the objects they return. A rename in the
-program would break the benchmark without failing any other test.
+table and reads attributes of the objects they return, and
+``perfbench/child.py`` repeats ``treeplace solve`` through the program's
+own calls. A rename in the program would break the benchmark without
+failing any other test.
 """
 
 import importlib.util
 import json
+import sys
 
 import pytest
 
@@ -20,6 +23,24 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
+
+# child.py imports its neighbour as ``tracing``, so perfbench/ goes on the path
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_child", FIXTURES.parent / "perfbench" / "child.py"
+)
+child = importlib.util.module_from_spec(_SPEC)
+_saved_path = sys.path.copy()
+sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+try:
+    _SPEC.loader.exec_module(child)
+finally:
+    sys.path[:] = _saved_path
+
+_INFEASIBLE = json.dumps({"W": 3, "nodes": [
+    {"id": "r", "parent": None, "kind": "internal"},
+    {"id": "c1", "parent": "r", "kind": "client", "bw": 9, "w": 2, "q": 1},
+    {"id": "c2", "parent": "r", "kind": "client", "bw": 9, "w": 2, "q": 1},
+]})
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -56,3 +77,17 @@ def test_traced_solve_reads_the_program(tmp_path, capsys, fixture, mode):
     for stage in ("parse", "solve", "transform", "phase1", "place", "root_check", "write"):
         assert stage in tracer.total, stage
     assert metrics[f"verifier.verify_placement_s.{mode}"] > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("doc", ["worked_example.json", "shared_link.json", "infeasible"])
+def test_batch_solve_writes_what_solve_writes(tmp_path, capsys, doc, mode):
+    """The small-batch workload's ``solve_like_cli`` gives the bytes that
+    ``treeplace solve --out`` writes."""
+    path = tmp_path / "doc.json"
+    path.write_text(_INFEASIBLE if doc == "infeasible" else load_fixture_text(doc))
+    out_path = tmp_path / "out.json"
+    code = cli.main(["solve", str(path), "--mode", mode, "--out", str(out_path)])
+    capsys.readouterr()
+    assert code == (2 if doc == "infeasible" else 0)
+    assert child.solve_like_cli(path.read_text(), mode).encode() == out_path.read_bytes()

@@ -405,33 +405,57 @@ def test_missing_file_is_reported(capsys):
     assert "error:" in err
 
 
+_HOSTILE_ARGV = {
+    "solve": ("solve", "{doc}"),
+    "verify-solution": ("verify", WORKED, "{doc}"),
+    "verify-instance": ("verify", "{doc}", WORKED),
+    "gen-fictivize": ("gen", "--fictivize", "{doc}"),
+    "transform": ("transform", "{doc}"),
+    "inspect": ("inspect", "{doc}"),
+    "oracle": ("oracle", "{doc}"),
+}
+# Each integer has 4,300 digits, the bundle weight of s and its load 4,301.
+_HUGE_SUM_DOC = json.dumps({"W": 9 * 10**4299, "nodes": [
+    {"id": "r", "parent": None, "kind": "internal"},
+    {"id": "s", "parent": "r", "kind": "internal", "bw": 1},
+    {"id": "c1", "parent": "s", "kind": "client", "bw": 6 * 10**4299, "w": 6 * 10**4299, "q": 3},
+    {"id": "c2", "parent": "s", "kind": "client", "bw": 6 * 10**4299, "w": 6 * 10**4299, "q": 3},
+]})
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "content, argv",
     [
-        ("solve", "{doc}"),
-        ("verify", WORKED, "{doc}"),
-        ("verify", "{doc}", WORKED),
-        ("gen", "--fictivize", "{doc}"),
-        ("transform", "{doc}"),
-        ("inspect", "{doc}"),
-        ("oracle", "{doc}"),
+        pytest.param(content, argv, id=f"{content}-{name}")
+        for content in ("deep", "not-utf8", "long-int")
+        for name, argv in _HOSTILE_ARGV.items()
+    ] + [
+        pytest.param("huge-sum", argv, id=f"huge-sum-{name}")
+        for name, argv in [
+            ("solve", ("solve", "{doc}")),
+            ("transform", ("transform", "{doc}")),
+            ("inspect", ("inspect", "{doc}")),
+            ("verify", ("verify", "{doc}", "{sol}")),
+        ]
     ],
-    ids=["solve", "verify-solution", "verify-instance", "gen-fictivize", "transform",
-         "inspect", "oracle"],
 )
-@pytest.mark.parametrize("content", ["deep", "not-utf8", "long-int"])
 def test_hostile_documents_give_one_error_line(tmp_path, capsys, argv, content):
     """A document nested 200,000 levels deep, one that is not UTF-8 at all,
-    or one with a 5,000-digit integer: exit 1, one ``error:`` line, no
-    traceback."""
+    one with a 5,000-digit integer, or one whose integers are within the
+    interpreter's 4,300-digit limit for text but whose bundle weight and
+    server load are past it: exit 1, one ``error:`` line, no traceback."""
     path = tmp_path / "hostile.json"
+    solution = tmp_path / "solution.json"
     if content == "deep":
         path.write_text("[" * 200_000 + "]" * 200_000)
     elif content == "long-int":
         path.write_text('{"W": ' + "7" * 5_000 + ', "nodes": []}')
+    elif content == "huge-sum":
+        path.write_text(_HUGE_SUM_DOC)
+        solution.write_text('{"replicas": ["s"]}')
     else:
         path.write_bytes(b'{"W": 3, "nodes": [{"id": "\xff\xfe"}]}')
-    code, out, err = run(capsys, *(a.format(doc=path) for a in argv))
+    code, out, err = run(capsys, *(a.format(doc=path, sol=solution) for a in argv))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,6 +11,7 @@ from treeplace.contribution import (
     MODE_AGGREGATE,
     MODE_PER_BUNDLE,
     REASON_EXHAUSTED,
+    NodeTable,
     equip_row,
     run_phase1,
 )
@@ -227,16 +228,20 @@ def test_min_bw_on_path(worked_example):
         min_bw_on_path(star, "p", 5)
 
 
-def test_accessors_clamp_beyond_computed_rows(worked_example):
-    star = transform_to_star(worked_example)
+def test_table_rows_stop_at_the_qos_ceiling(worked_example):
+    # l sits at depth 4 = L + 1, so its rows run to its depth
+    table = run_phase1(transform_to_star(worked_example))
+    assert table.table("l") == NodeTable("l", 4, (3, 3, 3, INF, INF), ((),) * 5, 0)
+    # d, a leaf of qos 1 (so L = 1) at depth 5: rows end at index L + 1,
+    # and the last one stands for every deeper index (c's row 2 reads d's 3)
+    nodes = [{"id": "r", "parent": None, "kind": "internal"}]
+    nodes += [{"id": k, "parent": p, "kind": "internal", "bw": 9} for p, k in zip("rabc", "abcd")]
+    nodes.append({"id": "z", "parent": "d", "kind": "client", "bw": 9, "w": 2, "q": 2})
+    star = transform_to_star(parse_instance(json.dumps({"W": 5, "nodes": nodes})))
     table = run_phase1(star)
-    # l sits at depth 4 but rows stop at the qos ceiling; the deeper
-    # queries must answer as the last computed row
-    assert table.contribution("l", 4) == table.contribution("l", 3) == INF
-    with pytest.raises(ValueError):
-        table.contribution("l", 5)
-    with pytest.raises(ValueError):
-        table.contribution("l", -1)
+    assert star.max_leaf_qos == 1
+    assert table.table("d") == NodeTable("d", 5, (2, 2, INF), ((), (), ()), 0)
+    assert table.table("c") == NodeTable("c", 4, (2, INF, INF), ((), ("d",), ("d",)), 0)
 
 
 def test_aggregate_mode_tightens_bound(shared_link):
@@ -245,8 +250,8 @@ def test_aggregate_mode_tightens_bound(shared_link):
     agg = run_phase1(star, mode=MODE_AGGREGATE)
     # two 6-weight bundles over a shared bw-10 edge: fine per-bundle,
     # impossible in aggregate without a replica at s
-    assert lit.contribution("s", 1) == 12
-    assert agg.contribution("s", 1) == INF
+    assert lit.table("s").c_row[1] == 12
+    assert agg.table("s").c_row[1] == INF
     assert lit.min_replica_count == agg.min_replica_count == 1
 
 
@@ -356,9 +361,10 @@ def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
                 continue
             got = table.table(node)
             kids = [star.ids[k] for k in star.kids[star.index[node]]]
+            rows = {k: table.table(k).c_row for k in kids}
             for i in range(len(got.c_row)):
                 children = [
-                    (k, table.contribution(k, i + 1),
+                    (k, rows[k][min(i + 1, len(rows[k]) - 1)],
                      star.by_id[k].leaf is None or star.by_id[k].leaf.eligible)
                     for k in kids
                 ]

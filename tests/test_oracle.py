@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from treeplace.errors import GuardExceededError
-from treeplace.generator import GenConfig, generate
-from treeplace.instance import parse_instance
+from treeplace.errors import GuardExceededError, InfeasibleError
+from treeplace.generator import SHAPES, GenConfig, generate
+from treeplace.instance import KIND_CLIENT, MODE_AGGREGATE, MODE_PER_BUNDLE, NetworkInstance, parse_instance
 from treeplace.oracle import DEFAULT_MAX_INTERNAL, brute_force_min
 from treeplace.solver import solve_instance
 from tests.reference import dual_role_brute_force_min
@@ -69,6 +71,84 @@ def test_determinism(worked_example):
         b.optima,
         b.explored,
     )
+
+
+# --- metamorphic relations, past the oracle's reach ---------------------
+#
+# After Chen, Cheung & Yiu (HKUST-CS98-01): with no ground truth at a few
+# hundred to 1e3 nodes, per-bundle optimality still fixes how the count
+# moves. Relaxing one constraint of a feasible instance keeps it feasible
+# and cannot raise the count; renaming the nodes changes nothing; and an
+# aggregate-feasible set is per-bundle feasible, so it bounds the count.
+
+
+def _count(inst, mode=MODE_PER_BUNDLE):
+    try:
+        return solve_instance(inst, mode=mode).cardinality
+    except InfeasibleError:
+        return None
+
+
+def _with(inst, capacity=None, **columns):
+    """A copy of ``inst`` with W and any of its columns replaced."""
+    cols = {c: list(getattr(inst, c)) for c in ("ids", "parents", "kinds", "bws", "ws", "qs")}
+    cols.update(columns)
+    return NetworkInstance.from_columns(capacity or inst.capacity, *cols.values())
+
+
+@st.composite
+def _instances(draw):
+    internal = draw(st.integers(100, 330))
+    return generate(GenConfig(
+        seed=draw(st.integers(0, 2**32)),
+        internal=internal,
+        clients=draw(st.integers(internal, 2 * internal)),
+        capacity=draw(st.integers(12, 40)),
+        shape=draw(st.sampled_from(SHAPES)),
+        weight_range=(0, 6),
+        qos_range=(1, draw(st.integers(1, 6))),
+        bandwidth_range=(6, draw(st.integers(6, 30))),
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=_instances(), data=st.data())
+def test_metamorphic_relations(inst, data):
+    count = _count(inst)
+    n = len(inst.ids)
+
+    order = data.draw(st.permutations(range(n)), label="relabel order")
+    new = [f"v{n - k:04d}" for k in order]  # the simplest order draw reverses the ids
+    assume(new != sorted(new))
+    index = inst.index
+    parents = [None if p is None else new[index[p]] for p in inst.parents]
+    assert _count(_with(inst, ids=new, parents=parents)) == count
+
+    aggregate = _count(inst, MODE_AGGREGATE)
+    if aggregate is not None:
+        assert count is not None and count <= aggregate
+    event("feasible" if count is not None else "infeasible")
+    if count is None:
+        return
+
+    step = data.draw(st.integers(1, 20), label="step")
+    clients = [v for v in range(n) if inst.kinds[v] == KIND_CLIENT]
+    link = data.draw(st.sampled_from([v for v in range(n) if inst.parents[v] is not None]), label="link")
+    client = data.draw(st.sampled_from(clients), label="client")
+    demanding = data.draw(st.sampled_from([v for v in clients if inst.ws[v]] or clients), label="demanding")
+
+    def bumped(column, at, by):
+        return [x + by if v == at else x for v, x in enumerate(column)]
+
+    relaxed = {
+        "W up": _with(inst, capacity=inst.capacity + step),
+        "bw up": _with(inst, bws=bumped(inst.bws, link, step)),
+        "q up": _with(inst, qs=bumped(inst.qs, client, step)),
+        "w down": _with(inst, ws=bumped(inst.ws, demanding, -min(step, inst.ws[demanding]))),
+    }
+    for name, other in relaxed.items():
+        got = _count(other)
+        assert got is not None and got <= count, (name, got, count)
 
 
 # --- dual-role variant: every node may host and serves itself for free ---
