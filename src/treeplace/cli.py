@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .contribution import run_phase1
 from .errors import (
@@ -206,6 +205,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     payloads = [(s, args.max_internal, args.max_clients) for s in seeds]
     jobs = min(args.jobs, os.cpu_count() or 1)  # the pool starts every worker at once
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_compare_one, payloads, chunksize=8))
     else:

@@ -96,10 +96,10 @@ class NetworkInstance:
     canonical. ``NetworkInstance(capacity, nodes)`` converts ``NodeSpec``
     records once; ``from_columns`` takes columns over as they are.
 
-    ``index`` (id -> index), ``parent_index`` and the ``NodeSpec`` views
-    (``nodes``, ``by_id``, ``clients``) are built on first read; no stage
-    of a solve reads the views. The derived accessors assume the instance
-    passed validation; check ``violations`` first for untrusted data.
+    ``index`` (id -> index), ``parent_index`` and the ``NodeSpec`` view
+    ``nodes`` are built on first read; no stage of a solve reads ``nodes``.
+    The derived accessors assume the instance passed validation; check
+    ``violations`` first for untrusted data.
     """
 
     def __init__(self, capacity: int, nodes: Iterable[NodeSpec] = ()) -> None:
@@ -149,14 +149,6 @@ class NetworkInstance:
     @cached_property
     def nodes(self) -> tuple[NodeSpec, ...]:
         return tuple(map(NodeSpec, self.ids, self.parents, self.kinds, self.bws, self.ws, self.qs))
-
-    @cached_property
-    def by_id(self) -> dict[str, NodeSpec]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
-    def clients(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.is_client)
 
     @cached_property
     def internal_ids(self) -> tuple[str, ...]:

@@ -85,7 +85,7 @@ class StarTree:
     original tree is the identity on indices.
 
     The solver stages read the arrays. The id-keyed views (``index``,
-    ``nodes``, ``by_id``, ``depth``, ``leaves``) are built on first read
+    ``nodes``, ``depth``, ``leaves``) are built on first read
     only.
     """
 
@@ -137,10 +137,6 @@ class StarTree:
     @cached_property
     def nodes(self) -> tuple[StarNode, ...]:
         return tuple(map(self._node, self.id_order))
-
-    @cached_property
-    def by_id(self) -> dict[str, StarNode]:
-        return {n.id: n for n in self.nodes}
 
     @cached_property
     def depth(self) -> dict[str, int]:

@@ -41,15 +41,21 @@ class RuleViolation:
 @dataclass(frozen=True)
 class FeasibilityReport:
     mode: str
-    assignment: dict[str, str | None]  # client -> serving replica (None: w = 0)
     server_loads: dict[str, int]
     violations: tuple[RuleViolation, ...]
-    # the instance checked; link_flows is derived from it on demand
+    # the instance checked and the per-index servers of its clients (see
+    # _servers); assignment and link_flows are derived from them on demand
     instance: NetworkInstance = field(repr=False, compare=False)
+    servers: list = field(repr=False)
 
     @property
     def feasible(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def assignment(self) -> dict[str, str | None]:
+        """client id -> serving replica id (None: unserved or w = 0), built on first read."""
+        return _assignment(self.instance.ids, self.servers)
 
     @cached_property
     def link_flows(self) -> dict[str, dict]:
@@ -58,11 +64,9 @@ class FeasibilityReport:
         Built from the same link walk as the bandwidth check, on first
         read only: a solve's self-check never reads it.
         """
-        inst = self.instance
-        ids = inst.ids
-        servers = _servers(inst, self.server_loads)[0]  # its keys are the replica set
+        ids = self.instance.ids
         parts: dict[str, list[tuple[str, int]]] = {}
-        for child_end, label, flow in _link_crossings(inst, servers):
+        for child_end, label, flow in _link_crossings(self.instance, self.servers):
             parts.setdefault(ids[child_end], []).append((ids[label], flow))
         out: dict[str, dict] = {}
         for child_end in sorted(parts):
@@ -89,11 +93,11 @@ class FeasibilityReport:
 
 def _servers(
     inst: NetworkInstance, replicas: set[str] | frozenset[str]
-) -> tuple[list, dict[str, str | None], list[RuleViolation]]:
+) -> tuple[list, list[RuleViolation]]:
     """Per node index the server's index (-1: none; None: not a client),
-    the same by client id, and an "unserved" violation per demanding client
-    without a replica in range. The walk runs up the int parent column
-    against a per-index equipped flag and stops after q(v) hops."""
+    and an "unserved" violation per demanding client without a replica in
+    range. The walk runs up the int parent column against a per-index
+    equipped flag and stops after q(v) hops."""
     index = inst.index
     equipped = bytearray(len(inst.ids))
     for r in replicas:
@@ -103,7 +107,6 @@ def _servers(
     ids = inst.ids
     ups = inst.parent_index
     servers: list = [None] * len(ids)
-    assignment: dict[str, str | None] = {}
     violations: list[RuleViolation] = []
     for c, kind, w, q in zip(range(len(ids)), inst.kinds, inst.ws, inst.qs):
         if kind != KIND_CLIENT:
@@ -121,8 +124,12 @@ def _servers(
             if server < 0:
                 violations.append(RuleViolation("unserved", ids[c], w))
         servers[c] = server
-        assignment[ids[c]] = None if server < 0 else ids[server]
-    return servers, assignment, violations
+    return servers, violations
+
+
+def _assignment(ids: list[str], servers: list) -> dict[str, str | None]:
+    """:func:`_servers`' per-index list, keyed by client id."""
+    return {ids[c]: None if s < 0 else ids[s] for c, s in enumerate(servers) if s is not None}
 
 
 def closest_assignment(
@@ -135,8 +142,8 @@ def closest_assignment(
     construction an assigned client is always within range, so a
     separate qos violation cannot occur.
     """
-    _, assignment, violations = _servers(inst, replicas)
-    return assignment, violations
+    servers, violations = _servers(inst, replicas)
+    return _assignment(inst.ids, servers), violations
 
 
 def _link_crossings(inst: NetworkInstance, servers: list) -> Iterator[tuple[int, int, int]]:
@@ -184,7 +191,7 @@ def verify_placement(
     if stray:
         raise StructureError(f"replica set contains non-internal nodes: {sorted(stray)}")
 
-    servers, assignment, violations = _servers(inst, replica_set)
+    servers, violations = _servers(inst, replica_set)
     ids, ws = inst.ids, inst.ws
     load_at: dict[int, int] = {}
     for c, server in enumerate(servers):
@@ -210,8 +217,8 @@ def verify_placement(
     ordered = tuple(sorted(violations, key=lambda v: (v.kind, v.location)))
     return FeasibilityReport(
         mode=mode,
-        assignment=assignment,
         server_loads=loads,
         violations=ordered,
         instance=inst,
+        servers=servers,
     )

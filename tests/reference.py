@@ -1,7 +1,8 @@
 """Reference specifications the tests compare the program with.
 
-Each function here states a rule the plain way, on the ``NodeSpec`` and
-id-keyed views, and shares no code with the program's own version:
+Each function here states a rule the plain way, on the ``NodeSpec`` view
+and the id-keyed maps of ``nodes_by_id`` and ``clients_of``, and shares
+no code with the program's own version:
 
 * ``validate_instance`` and ``verify_placement`` walk ``NodeSpec``
   objects by id, as the program did before it ran on per-index columns;
@@ -36,6 +37,16 @@ from treeplace.transform import StarLeaf, StarTree
 from treeplace.verifier import RuleViolation
 
 INFINITE = math.inf
+
+
+def nodes_by_id(tree: NetworkInstance | StarTree) -> dict:
+    """id -> record, over an instance's ``NodeSpec`` or a star tree's ``StarNode`` view."""
+    return {n.id: n for n in tree.nodes}
+
+
+def clients_of(inst: NetworkInstance) -> tuple[NodeSpec, ...]:
+    """The client ``NodeSpec`` records, in id order."""
+    return tuple(n for n in inst.nodes if n.is_client)
 
 
 # --- instance validation --------------------------------------------------
@@ -122,10 +133,10 @@ def closest_assignment(
     inst: NetworkInstance, replicas: set[str]
 ) -> tuple[dict[str, str | None], list[RuleViolation]]:
     """Each demanding client's nearest replica ancestor within q hops."""
-    by_id = inst.by_id
+    by_id = nodes_by_id(inst)
     assignment: dict[str, str | None] = {}
     violations: list[RuleViolation] = []
-    for client in inst.clients:
+    for client in clients_of(inst):
         if client.w == 0:
             assignment[client.id] = None
             continue
@@ -146,15 +157,15 @@ def closest_assignment(
 
 def _bundles(inst: NetworkInstance) -> list[tuple[str, list[NodeSpec]]]:
     groups: dict[str, list[NodeSpec]] = {}
-    for client in inst.clients:
+    for client in clients_of(inst):
         groups.setdefault(client.parent, []).append(client)
     return sorted(groups.items())
 
 
 def _link_crossings(inst: NetworkInstance, assignment: dict[str, str | None]):
     """``(child-end id, label, flow)`` for every link a served flow crosses."""
-    by_id = inst.by_id
-    for client in inst.clients:
+    by_id = nodes_by_id(inst)
+    for client in clients_of(inst):
         if client.w and assignment.get(client.id):
             yield client.id, client.id, client.w
     for parent_id, members in _bundles(inst):
@@ -189,7 +200,7 @@ def verify_placement(inst: NetworkInstance, replicas, mode: str) -> dict:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     replica_set = set(replicas)
-    by_id = inst.by_id
+    by_id = nodes_by_id(inst)
     stray = {r for r in replica_set if r not in by_id or by_id[r].is_client}
     if stray:
         raise StructureError(f"replica set contains non-internal nodes: {sorted(stray)}")
@@ -236,7 +247,7 @@ def verify_star_placement(
     original instance with the same (projected) set. Eligible leaves may
     serve themselves at distance zero.
     """
-    by_id = star.by_id
+    by_id = nodes_by_id(star)
     replica_set = set(replicas)
     violations: list[RuleViolation] = []
     loads: dict[str, int] = {}

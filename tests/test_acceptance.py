@@ -37,7 +37,7 @@ from treeplace.oracle import brute_force_min
 from treeplace.solver import solve_instance
 from treeplace.transform import StarLeaf, transform_to_star
 from treeplace.verifier import verify_placement
-from tests.reference import dual_role_brute_force_min, leaf_contribution
+from tests.reference import dual_role_brute_force_min, leaf_contribution, nodes_by_id
 
 INF = INFINITE
 
@@ -240,6 +240,7 @@ def test_criterion_5_invariant_battery(capsys):
     rows = battery()
     for inst, star, table, out in rows:
         bound = star.capacity
+        by_id = nodes_by_id(star)
         for node in table.nodes():
             t = table.table(node)
             for a, b in zip(t.c_row, t.c_row[1:]):
@@ -251,7 +252,7 @@ def test_criterion_5_invariant_battery(capsys):
             for i, c in enumerate(t.c_row):
                 if c != INF and len(t.e_row[i]) != len(t.e_row[0]):
                     problems.append(f"finite C with grown e-set at {node}")
-            if star.by_id[node].leaf is None:
+            if by_id[node].leaf is None:
                 # greedy certificate: no equipped child could be put back
                 for x in t.e_row[0]:
                     val = table.table(x).c_row[1]
@@ -277,19 +278,24 @@ def bench_once(n: int, qos: int, seed: int = 7) -> float:
 def test_criterion_6_scaling(capsys):
     # Measurement hygiene, mirroring what timeit does: drop the corpora
     # the earlier criteria cached, warm up, and keep the collector out
-    # of the timed region.
+    # of the timed region. The runs of both sizes are interleaved, so that
+    # the shared cores' speed drifting between phases moves both minimums.
     import gc
 
     _CACHE.clear()
     gc.collect()
     bench_once(10_000, 8)
     gc.disable()
+    t5s, t4s, l2s = [], [], []
     try:
-        t5 = min(bench_once(100_000, 8) for _ in range(3))
-        t4 = min(bench_once(10_000, 8) for _ in range(5))
-        l2 = min(bench_once(10_000, 2) for _ in range(5))
+        for k in range(5):
+            if k % 2 == 0:  # 3 runs at 1e5, spread over the 5 rounds
+                t5s.append(bench_once(100_000, 8))
+            t4s.append(bench_once(10_000, 8))
+            l2s.append(bench_once(10_000, 2))
     finally:
         gc.enable()
+    t5, t4, l2 = min(t5s), min(t4s), min(l2s)
     ratio = t5 / t4
     growth = t4 / max(l2, 1e-9)
     ok = t5 < 5.0 and ratio < 15.0 and t4 <= 1.5 * 4 * max(l2, 1e-3)

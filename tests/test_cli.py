@@ -1,9 +1,13 @@
 """End-to-end runs through cli.main with in-process argv."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -373,12 +377,27 @@ def test_compare_caps_jobs_at_the_cpu_count(monkeypatch, capsys, cpus, jobs, poo
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out, _ = run(capsys, "compare", "--seeds", "0:2", "--jobs", str(jobs))
     assert code == 0
     assert out.splitlines()[-1] == "agreed 3/3"
     assert made == pools
+
+
+def test_start_up_loads_no_process_pool():
+    """Only ``compare --jobs`` imports the pool, so no other command pays for it."""
+    probe = (
+        "import sys, treeplace.cli as c; c.build_parser(); "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_compare_bad_seed_spec(capsys):

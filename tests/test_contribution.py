@@ -24,6 +24,7 @@ from tests.reference import (
     internal_node_update,
     leaf_contribution,
     min_bw_on_path,
+    nodes_by_id,
 )
 
 INF = INFINITE
@@ -356,8 +357,9 @@ def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
             table = run_phase1(star, mode=mode)
         except InfeasibleError:
             continue
+        by_id = nodes_by_id(star)
         for node in table.nodes():
-            if star.by_id[node].leaf is not None:
+            if by_id[node].leaf is not None:
                 continue
             got = table.table(node)
             kids = [star.ids[k] for k in star.kids[star.index[node]]]
@@ -365,7 +367,7 @@ def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
             for i in range(len(got.c_row)):
                 children = [
                     (k, rows[k][min(i + 1, len(rows[k]) - 1)],
-                     star.by_id[k].leaf is None or star.by_id[k].leaf.eligible)
+                     by_id[k].leaf is None or by_id[k].leaf.eligible)
                     for k in kids
                 ]
                 bound = star.capacity

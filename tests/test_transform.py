@@ -16,6 +16,7 @@ from treeplace.transform import (
     star_to_document,
     transform_to_star,
 )
+from tests.reference import clients_of, nodes_by_id
 
 
 def build(w, nodes):
@@ -35,12 +36,12 @@ def internal(id, parent, bw=None):
 
 def test_artificial_root_shape(worked_example):
     star = transform_to_star(worked_example)
-    root = star.by_id[star.root_plus]
+    root = nodes_by_id(star)[star.root_plus]
     assert root.id == ARTIFICIAL_ROOT_ID
     assert root.parent is None
     kids = tuple(star.ids[k] for k in star.kids[star.index[star.root_plus]])
     assert kids == ("a",)
-    assert star.by_id["a"].bw == 0  # the flow-blocking link
+    assert nodes_by_id(star)["a"].bw == 0  # the flow-blocking link
 
 
 def test_worked_example_star_shape(worked_example):
@@ -58,7 +59,7 @@ def test_worked_example_star_shape(worked_example):
     assert leaves["l"].origin_internal == "l"
     assert leaves["l"].origin_clients == ("zl",)
     assert (leaves["l"].weight, leaves["l"].qos) == (3, 2)
-    assert star.by_id["l"].bw == 4  # keeps the original parent link
+    assert nodes_by_id(star)["l"].bw == 4  # keeps the original parent link
 
     # compressed: mixed children, merged clients stay a client bundle
     x = leaves["x"]
@@ -66,7 +67,7 @@ def test_worked_example_star_shape(worked_example):
     assert x.origin_internal is None
     assert x.origin_clients == ("x", "x2")
     assert (x.weight, x.qos) == (3, 1)
-    assert star.by_id["x"].bw == UNBOUNDED
+    assert nodes_by_id(star)["x"].bw == UNBOUNDED
 
     y = leaves["y"]
     assert not y.eligible and (y.weight, y.qos) == (8, 2)
@@ -79,7 +80,7 @@ def test_worked_example_star_shape(worked_example):
 def test_demand_conserved(worked_example):
     star = transform_to_star(worked_example)
     assert sum(n.leaf.weight for n in star.leaves) == sum(
-        c.w for c in worked_example.clients
+        c.w for c in clients_of(worked_example)
     )
 
 
@@ -90,10 +91,10 @@ def test_demand_conserved_generated(seed):
         GenConfig(seed=seed, internal=6, clients=9, capacity=50, weight_range=(1, 4))
     )
     star = transform_to_star(inst)
-    assert sum(n.leaf.weight for n in star.leaves) == sum(c.w for c in inst.clients)
+    assert sum(n.leaf.weight for n in star.leaves) == sum(c.w for c in clients_of(inst))
     # every original client is accounted for exactly once
     seen = [c for n in star.leaves for c in n.leaf.origin_clients]
-    assert sorted(seen) == sorted(c.id for c in inst.clients)
+    assert sorted(seen) == sorted(c.id for c in clients_of(inst))
 
 
 def test_depths(worked_example):
@@ -152,7 +153,7 @@ def test_zero_weight_bundle_keeps_qos_of_all_clients():
         ],
     )
     star = transform_to_star(inst)
-    node = star.by_id["s"]
+    node = nodes_by_id(star)["s"]
     assert (node.parent, node.bw) == ("r", 7)
     assert node.leaf.weight == 0
     assert node.leaf.qos == 1  # min(2, 5) - 1
@@ -171,7 +172,7 @@ def test_suppression_ignores_zero_weight_qos_when_demand_exists():
             client("c2", "s", w=4, q=5, bw=9),
         ],
     )
-    leaf = transform_to_star(inst).by_id["s"].leaf
+    leaf = nodes_by_id(transform_to_star(inst))["s"].leaf
     # the q=1 client has no demand, so it must not tighten the range
     assert (leaf.weight, leaf.qos) == (4, 4)
     assert leaf.eligible
@@ -190,7 +191,7 @@ def test_compression_takes_min_qos_without_decrement():
         ],
     )
     star = transform_to_star(inst)
-    node = star.by_id["c2"]  # smallest client id names the merge
+    node = nodes_by_id(star)["c2"]  # smallest client id names the merge
     assert (node.parent, node.bw) == ("s", UNBOUNDED)
     leaf = node.leaf
     assert leaf.id == "c2"
@@ -198,7 +199,7 @@ def test_compression_takes_min_qos_without_decrement():
     assert not leaf.eligible
     assert leaf.origin_internal is None
     assert leaf.origin_clients == ("c2", "c9")
-    assert "c9" not in star.by_id
+    assert "c9" not in nodes_by_id(star)
     assert tuple(star.ids[k] for k in star.kids[star.index["s"]]) == ("c2", "t")
 
 
@@ -231,7 +232,7 @@ def test_single_client_instance():
     inst = build(10, [internal("r", None), client("c1", "r", w=3, q=2, bw=5)])
     star = transform_to_star(inst)
     # r had only clients: suppressed into an eligible leaf below r+
-    leaf = star.by_id["r"]
+    leaf = nodes_by_id(star)["r"]
     assert leaf.leaf is not None and leaf.leaf.eligible
     assert leaf.parent == star.root_plus
     assert leaf.bw == 0

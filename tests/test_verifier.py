@@ -10,7 +10,7 @@ from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
 from treeplace.verifier import MODE_AGGREGATE, closest_assignment, verify_placement
 from tests import reference
-from tests.reference import verify_star_placement
+from tests.reference import clients_of, nodes_by_id, verify_star_placement
 
 
 def tiny(w=3, q=1, bw=9, W=10):
@@ -104,7 +104,7 @@ def test_worked_example_solution_report(worked_example):
 def test_loads_sum_to_demands_when_served(worked_example):
     out = solve_instance(worked_example)
     report = verify_placement(worked_example, set(out.replicas))
-    assert sum(report.server_loads.values()) == sum(c.w for c in worked_example.clients)
+    assert sum(report.server_loads.values()) == sum(c.w for c in clients_of(worked_example))
 
 
 def test_shared_link_gap(shared_link):
@@ -146,12 +146,13 @@ def test_star_equivalence_on_random_subsets():
             if (n.leaf is None and n.id != star.root_plus)
             or (n.leaf is not None and n.leaf.eligible)
         )
+        by_id = nodes_by_id(star)
         rng = random.Random(seed)
         for _ in range(8):
             sub = frozenset(rng.sample(eligible, rng.randint(0, len(eligible))))
             ok_star, _ = verify_star_placement(star, sub)
             original = {
-                star.by_id[s].leaf.origin_internal if star.by_id[s].leaf else s
+                by_id[s].leaf.origin_internal if by_id[s].leaf else s
                 for s in sub
             }
             assert ok_star == verify_placement(inst, original).feasible
