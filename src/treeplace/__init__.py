@@ -34,7 +34,7 @@ from .oracle import OracleResult, brute_force_min
 from .placement import PlacementResult, place_replicas
 from .solver import solve_instance
 from .transform import StarTree, transform_to_star
-from .verifier import FeasibilityReport, closest_assignment, verify_placement
+from .verifier import FeasibilityReport, verify_placement
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "StarTree",
     "StructureError",
     "brute_force_min",
-    "closest_assignment",
     "fictivize",
     "generate",
     "generate_dual_role",

@@ -280,14 +280,8 @@ def _render_tables(star, table) -> str:
 
     leaf_ids = sorted(node.id for node in star.leaves)
     if leaf_ids:
-        rng = max(len(rows[n].c_row) for n in leaf_ids)
-        grid = [["i"] + leaf_ids]
-        for i in range(rng):
-            row = [str(i)]
-            for n in leaf_ids:
-                c_row = rows[n].c_row
-                row.append(_fmt(c_row[i]) if i < len(c_row) else "-")
-            grid.append(row)
+        c_rows = [rows[n].c_row for n in leaf_ids]
+        grid = [["i"] + leaf_ids] + _grid_rows("{}", c_rows, max(map(len, c_rows)), _fmt)
         lines += ["leaf contributions C(v,i)", _layout(grid), ""]
 
     leaf_set = set(leaf_ids)
@@ -295,23 +289,23 @@ def _render_tables(star, table) -> str:
         (n for n in rows if n not in leaf_set),
         key=lambda n: (-depth[n], n),
     )
-    rng = max(len(rows[n].c_row) for n in internal_ids)
-    grid = [["row"] + internal_ids]
-    for i in range(rng):
-        row = [f"C(v,{i})"]
-        for n in internal_ids:
-            c_row = rows[n].c_row
-            row.append(_fmt(c_row[i]) if i < len(c_row) else "-")
-        grid.append(row)
-    for i in range(rng):
-        row = [f"e(v,{i})"]
-        for n in internal_ids:
-            e_row = rows[n].e_row
-            row.append("{" + ",".join(e_row[i]) + "}" if i < len(e_row) else "-")
-        grid.append(row)
+    c_rows = [rows[n].c_row for n in internal_ids]
+    rng = max(map(len, c_rows))
+    grid = [["row"] + internal_ids] + _grid_rows("C(v,{})", c_rows, rng, _fmt)
+    e_rows = [rows[n].e_row for n in internal_ids]
+    grid += _grid_rows("e(v,{})", e_rows, rng, lambda e_set: "{" + ",".join(e_set) + "}")
     grid.append(["m(t(v))"] + [_fmt(rows[n].m_value) for n in internal_ids])
     lines += ["internal nodes", _layout(grid)]
     return "\n".join(lines) + "\n"
+
+
+def _grid_rows(label: str, columns: list, rng: int, fmt) -> list[list[str]]:
+    """For each i < ``rng``: ``label.format(i)``, then ``fmt`` of each
+    column's i-th entry, or "-" past the column's end."""
+    return [
+        [label.format(i)] + [fmt(col[i]) if i < len(col) else "-" for col in columns]
+        for i in range(rng)
+    ]
 
 
 def _layout(grid: list[list[str]]) -> str:

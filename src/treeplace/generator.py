@@ -116,7 +116,7 @@ def generate(cfg: GenConfig) -> NetworkInstance:
         ws.append(rng.randint(*cfg.weight_range))
         qs.append(rng.randint(*cfg.qos_range))
     kinds = [KIND_INTERNAL] * n_int + [KIND_CLIENT] * len(hosts)
-    inst = NetworkInstance.from_columns(cfg.capacity, ids, up_ids, kinds, bws, ws, qs)
+    inst = NetworkInstance(cfg.capacity, ids, up_ids, kinds, bws, ws, qs)
     if inst.violations:  # pragma: no cover - would be a generator bug
         raise ConfigError(f"generated an invalid instance: {inst.violations[0].message}")
     return inst
@@ -132,6 +132,8 @@ def small_corpus_config(
     Capacity and bandwidth are drawn tight enough that a visible share of
     draws is infeasible, which is exactly what agreement testing wants.
     """
+    if max_internal < 2:
+        raise ConfigError(f"max_internal must be at least 2, got {max_internal}")
     rng = random.Random(seed * 2654435761 % (2**31))
     internal = rng.randint(2, max_internal)
     # internal - 1 clients always suffice to cover every childless skeleton
@@ -227,7 +229,7 @@ def fictivize(net: DualRoleNetwork) -> NetworkInstance:
         w, q = net.demand.get(nid, (0, 0))
         if w > 0:
             rows.append((f"{nid}_req", nid, KIND_CLIENT, total, w, q + 1))
-    return NetworkInstance.from_columns(net.capacity, *map(list, zip(*rows)))
+    return NetworkInstance(net.capacity, *map(list, zip(*rows)))
 
 
 def parse_dual_role(text: str) -> DualRoleNetwork:

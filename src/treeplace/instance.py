@@ -19,8 +19,10 @@ The document format is JSON::
 
 Unknown fields are rejected. The id ``__r_plus__`` is reserved for the
 artificial root added by the transformation stage. In memory an instance
-is per-index columns, in id order: parse, validation, the transform, the
-verifier and the writer read those, and ``NodeSpec`` records are views.
+is per-index columns, in id order, and ``NetworkInstance(capacity, ids,
+parents, kinds, bws, ws, qs)`` is its one constructor: the parser and the
+generator build the columns, parse, validation, the transform, the
+verifier and the writer read them, and ``NodeSpec`` records are views.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, le
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import MalformedDocumentError, RoleError, StructureError
 
@@ -46,9 +48,8 @@ MODE_PER_BUNDLE = "per-bundle"
 MODE_AGGREGATE = "aggregate"
 MODES = (MODE_PER_BUNDLE, MODE_AGGREGATE)
 
-_COLUMNS = ("id", "parent", "kind", "bw", "w", "q")  # NodeSpec fields, in column order
 _COLUMN_NAMES = ("ids", "parents", "kinds", "bws", "ws", "qs")
-_NODE_FIELDS = set(_COLUMNS)
+_NODE_FIELDS = {"id", "parent", "kind", "bw", "w", "q"}
 _TOP_FIELDS = {"W", "nodes"}
 
 # Violation codes that indicate a role problem rather than a shape problem.
@@ -68,10 +69,6 @@ class NodeSpec:
     w: int | None = None  # request count, clients only
     q: int | None = None  # QoS hop limit, clients only
 
-    @property
-    def is_client(self) -> bool:
-        return self.kind == KIND_CLIENT
-
 
 @dataclass(frozen=True, slots=True)
 class Violation:
@@ -90,11 +87,11 @@ class NetworkInstance:
     """An instance held as per-index columns, in ascending id order.
 
     ``ids``, ``parents`` (an id or None), ``kinds``, ``bws``, ``ws`` and
-    ``qs`` hold one entry per node; treat them as read-only. Columns that
-    do not arrive id-sorted are put in order by a stable sort (duplicate
-    ids keep their input order), so equality and serialization are
-    canonical. ``NetworkInstance(capacity, nodes)`` converts ``NodeSpec``
-    records once; ``from_columns`` takes columns over as they are.
+    ``qs`` hold one entry per node; treat them as read-only. The
+    constructor takes the six columns over as they are when they arrive
+    id-sorted, and otherwise puts them in order by a stable sort
+    (duplicate ids keep their input order), so equality and serialization
+    are canonical.
 
     ``index`` (id -> index), ``parent_index`` and the ``NodeSpec`` view
     ``nodes`` are built on first read; no stage of a solve reads ``nodes``.
@@ -102,19 +99,10 @@ class NetworkInstance:
     ``violations`` first for untrusted data.
     """
 
-    def __init__(self, capacity: int, nodes: Iterable[NodeSpec] = ()) -> None:
-        nodes = tuple(nodes)
-        self._set_columns(capacity, *([getattr(n, f) for n in nodes] for f in _COLUMNS))
-
-    @classmethod
-    def from_columns(cls, capacity: int, *columns: list) -> NetworkInstance:
-        """An instance that takes over ``ids, parents, kinds, bws, ws, qs``."""
-        inst = cls.__new__(cls)
-        inst._set_columns(capacity, *columns)
-        return inst
-
-    def _set_columns(self, capacity: int, *columns: list) -> None:
-        ids = columns[0]
+    def __init__(
+        self, capacity: int, ids: list, parents: list, kinds: list, bws: list, ws: list, qs: list
+    ) -> None:
+        columns = (ids, parents, kinds, bws, ws, qs)
         if not all(map(le, ids, islice(ids, 1, None))):
             order = sorted(range(len(ids)), key=ids.__getitem__)
             columns = tuple([col[k] for k in order] for col in columns)
@@ -127,9 +115,6 @@ class NetworkInstance:
         return self.capacity == other.capacity and all(
             getattr(self, c) == getattr(other, c) for c in _COLUMN_NAMES
         )
-
-    def __hash__(self) -> int:
-        return hash((self.capacity, tuple(self.ids)))
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -240,7 +225,7 @@ def parse_instance(text: str) -> NetworkInstance:
     if not isinstance(doc["nodes"], list):
         raise MalformedDocumentError("'nodes' must be an array")
     # popped, so that the decoded node objects are freed before validation
-    inst = NetworkInstance.from_columns(doc["W"], *_columns(doc.pop("nodes")))
+    inst = NetworkInstance(doc["W"], *_columns(doc.pop("nodes")))
     require_valid(inst)
     return inst
 

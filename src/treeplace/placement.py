@@ -25,11 +25,7 @@ REASON_ROOT_OVERLOAD = "workload at the root exceeds capacity"
 
 @dataclass(frozen=True, eq=False)
 class PlacementResult:
-    """The replica set, and the star tree and tables that found it.
-
-    Equality covers the traversal (``trace``), so two results with
-    different traces differ; the hash leaves it out.
-    """
+    """The replica set, and the star tree and tables that found it."""
 
     replicas: tuple[str, ...]  # original internal node ids, ascending
     cardinality: int
@@ -43,14 +39,6 @@ class PlacementResult:
         _walk(self.star, self.table, visits)
         ids = self.star.ids
         return tuple((ids[v], i, tuple(ids[c] for c in e)) for v, i, e in visits)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlacementResult):
-            return NotImplemented
-        return self.trace == other.trace  # the trace names every replica
-
-    def __hash__(self) -> int:
-        return hash((self.replicas, self.cardinality))
 
 
 def _walk(star: StarTree, table: ContributionTable, visits: list | None = None) -> list[int]:

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from .errors import InfeasibleError, StructureError
+from .errors import InfeasibleError
 from .instance import (
     ARTIFICIAL_ROOT_ID,
     KIND_CLIENT,
     NetworkInstance,
     precheck_client_links,
+    require_valid,
 )
 
 UNBOUNDED = math.inf  # bandwidth/contribution value that never binds
@@ -90,7 +91,6 @@ class StarTree:
     """
 
     capacity: int
-    root_plus: str
     ids: list[str]  # index -> id
     parents: list[int]  # -1 on the root and on holes
     bws: list  # link to the parent: int, UNBOUNDED (merged leaf) or None (root)
@@ -180,16 +180,15 @@ def _bundle_figures(inst: NetworkInstance, clients: list, *, suppressed: bool, l
 def transform_to_star(inst: NetworkInstance) -> StarTree:
     """Normalize a validated instance into a StarTree.
 
-    Raises StructureError, naming every finding, when the instance does
-    not validate; the verdict is the one the instance keeps, so a parsed
-    instance is not validated again. Raises InfeasibleError when the
-    precheck fails or some merged bundle exceeds the shared capacity (the
-    closest policy sends a whole bundle to a single server, so weight > W
-    can never be served). Reads the instance's columns and its int
-    parent column.
+    Raises as :func:`require_valid` does (RoleError or StructureError,
+    naming every finding) when the instance does not validate; the
+    verdict is the one the instance keeps, so a parsed instance is not
+    validated again. Raises InfeasibleError when the precheck fails or
+    some merged bundle exceeds the shared capacity (the closest policy
+    sends a whole bundle to a single server, so weight > W can never be
+    served). Reads the instance's columns and its int parent column.
     """
-    if inst.violations:
-        raise StructureError("; ".join(str(v) for v in inst.violations))
+    require_valid(inst)
     findings = precheck_client_links(inst)
     if findings:
         reason = (
@@ -270,7 +269,6 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
 
     return StarTree(
         capacity=capacity,
-        root_plus=ARTIFICIAL_ROOT_ID,
         ids=ids,
         parents=parents,
         bws=bws,
@@ -304,5 +302,5 @@ def star_to_document(star: StarTree) -> str:
                 "clients": list(n.leaf.origin_clients),
             }
         nodes.append(entry)
-    doc = {"W": star.capacity, "root_plus": star.root_plus, "nodes": nodes}
+    doc = {"W": star.capacity, "root_plus": ARTIFICIAL_ROOT_ID, "nodes": nodes}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -55,7 +55,8 @@ class FeasibilityReport:
     @cached_property
     def assignment(self) -> dict[str, str | None]:
         """client id -> serving replica id (None: unserved or w = 0), built on first read."""
-        return _assignment(self.instance.ids, self.servers)
+        ids = self.instance.ids
+        return {ids[c]: None if s < 0 else ids[s] for c, s in enumerate(self.servers) if s is not None}
 
     @cached_property
     def link_flows(self) -> dict[str, dict]:
@@ -97,13 +98,12 @@ def _servers(
     """Per node index the server's index (-1: none; None: not a client),
     and an "unserved" violation per demanding client without a replica in
     range. The walk runs up the int parent column against a per-index
-    equipped flag and stops after q(v) hops."""
+    equipped flag and stops after q(v) hops. ``verify_placement`` has
+    already rejected replica ids that are not internal nodes."""
     index = inst.index
     equipped = bytearray(len(inst.ids))
     for r in replicas:
-        v = index.get(r)
-        if v is not None:
-            equipped[v] = 1
+        equipped[index[r]] = 1
     ids = inst.ids
     ups = inst.parent_index
     servers: list = [None] * len(ids)
@@ -125,25 +125,6 @@ def _servers(
                 violations.append(RuleViolation("unserved", ids[c], w))
         servers[c] = server
     return servers, violations
-
-
-def _assignment(ids: list[str], servers: list) -> dict[str, str | None]:
-    """:func:`_servers`' per-index list, keyed by client id."""
-    return {ids[c]: None if s < 0 else ids[s] for c, s in enumerate(servers) if s is not None}
-
-
-def closest_assignment(
-    inst: NetworkInstance, replicas: set[str]
-) -> tuple[dict[str, str | None], list[RuleViolation]]:
-    """Assign every demanding client to the nearest replica ancestor.
-
-    The walk stops after q(v) hops; a client that finds no replica in
-    range is an "unserved" violation carrying its demand. By
-    construction an assigned client is always within range, so a
-    separate qos violation cannot occur.
-    """
-    servers, violations = _servers(inst, replicas)
-    return _assignment(inst.ids, servers), violations
 
 
 def _link_crossings(inst: NetworkInstance, servers: list) -> Iterator[tuple[int, int, int]]:

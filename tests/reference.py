@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import fields
 from typing import Iterable, NamedTuple
 
 from treeplace.contribution import REASON_EXHAUSTED
 from treeplace.errors import GuardExceededError, InfeasibleError, StructureError
 from treeplace.instance import (
+    ARTIFICIAL_ROOT_ID,
     KIND_CLIENT,
     MODE_AGGREGATE,
     MODES,
@@ -46,7 +48,13 @@ def nodes_by_id(tree: NetworkInstance | StarTree) -> dict:
 
 def clients_of(inst: NetworkInstance) -> tuple[NodeSpec, ...]:
     """The client ``NodeSpec`` records, in id order."""
-    return tuple(n for n in inst.nodes if n.is_client)
+    return tuple(n for n in inst.nodes if n.kind == KIND_CLIENT)
+
+
+def instance_of(capacity, nodes: Iterable[NodeSpec]) -> NetworkInstance:
+    """The instance whose columns hold ``nodes``, one ``NodeSpec`` per node."""
+    nodes = tuple(nodes)
+    return NetworkInstance(capacity, *([getattr(n, f.name) for n in nodes] for f in fields(NodeSpec)))
 
 
 # --- instance validation --------------------------------------------------
@@ -201,7 +209,7 @@ def verify_placement(inst: NetworkInstance, replicas, mode: str) -> dict:
         raise ValueError(f"unknown mode {mode!r}")
     replica_set = set(replicas)
     by_id = nodes_by_id(inst)
-    stray = {r for r in replica_set if r not in by_id or by_id[r].is_client}
+    stray = {r for r in replica_set if r not in by_id or by_id[r].kind == KIND_CLIENT}
     if stray:
         raise StructureError(f"replica set contains non-internal nodes: {sorted(stray)}")
 
@@ -260,7 +268,7 @@ def verify_star_placement(
         cur: str | None = leaf_node.id
         path_min: int | float = INFINITE
         for _hop in range(leaf.qos + 1):
-            if cur is None or cur == star.root_plus:
+            if cur is None or cur == ARTIFICIAL_ROOT_ID:
                 break
             if cur in replica_set:
                 server = cur

@@ -406,6 +406,29 @@ def test_compare_bad_seed_spec(capsys):
     assert "bad seed range" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--seeds", "0:3", "--max-internal", value, "--jobs", jobs)
+        for value in ("1", "0", "-1")
+        for jobs in ("1", "2")
+    ]
+    + [
+        ("compare", "--seeds", "0", "--max-clients", "0"),
+        ("gen", "--internal", "0"),
+        ("gen", "--capacity", "0"),
+        ("oracle", "--max-internal", "-1", WORKED),
+        ("bench", "--sizes", "40", "--qos", "0"),
+    ],
+)
+def test_out_of_range_numbers_give_one_error_line(capsys, argv):
+    """With ``--jobs 2`` the pool re-raises the worker's error in ``main``."""
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["solve"]) == 1

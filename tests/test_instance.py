@@ -13,10 +13,10 @@ from treeplace.instance import (
     KIND_CLIENT,
     KIND_INTERNAL,
     MODES,
-    NetworkInstance,
     NodeSpec,
     parse_instance,
     precheck_client_links,
+    require_valid,
     serialize_instance,
     validate_instance,
 )
@@ -25,6 +25,7 @@ from treeplace.transform import transform_to_star
 from treeplace.verifier import verify_placement
 from tests import reference
 from tests.conftest import FIXTURES, load_fixture_text
+from tests.reference import instance_of
 
 MINIMAL = {
     "W": 10,
@@ -64,15 +65,12 @@ def test_round_trip_generated():
 
 
 def test_node_order_is_normalized():
-    a = NetworkInstance(
-        capacity=5,
-        nodes=(
-            NodeSpec("b", "a", "client", bw=1, w=1, q=1),
-            NodeSpec("a", None, "internal"),
-        ),
-    )
+    a = instance_of(5, (
+        NodeSpec("b", "a", "client", bw=1, w=1, q=1),
+        NodeSpec("a", None, "internal"),
+    ))
     assert [n.id for n in a.nodes] == ["a", "b"]
-    assert a == NetworkInstance(capacity=5, nodes=tuple(reversed(a.nodes)))
+    assert a == instance_of(5, reversed(a.nodes))
 
 
 @pytest.mark.parametrize(
@@ -131,13 +129,10 @@ def test_cycle_detected_without_recursion():
         {"id": "u", "parent": "v", "kind": "internal", "bw": 1},
         {"id": "v", "parent": "u", "kind": "internal", "bw": 1},
     ]
-    inst = NetworkInstance(
-        capacity=10,
-        nodes=tuple(
-            NodeSpec(n["id"], n.get("parent"), n["kind"], n.get("bw"), n.get("w"), n.get("q"))
-            for n in d["nodes"]
-        ),
-    )
+    inst = instance_of(10, (
+        NodeSpec(n["id"], n.get("parent"), n["kind"], n.get("bw"), n.get("w"), n.get("q"))
+        for n in d["nodes"]
+    ))
     codes = {v.code for v in validate_instance(inst)}
     assert "cycle" in codes
 
@@ -196,14 +191,14 @@ def _reference_serialization(inst):
 @pytest.mark.parametrize(
     "inst",
     [
-        NetworkInstance(capacity=5, nodes=(
+        instance_of(5, (
             NodeSpec("r\u00e9seau", None, "internal"),
             NodeSpec("\u00fcber \"c\"\n\U0001f600", "r\u00e9seau", "client", bw=3, w=1, q=2),
         )),
         # unvalidated values: the writer must still match the encoder
-        NetworkInstance(capacity="x", nodes=(NodeSpec("a", None, "internal", bw=2.5),)),
-        NetworkInstance(capacity=True, nodes=(NodeSpec("a", 7, "client", w=False, q=[1, {"z": 2, "b": None}]),)),
-        NetworkInstance(capacity=3, nodes=()),
+        instance_of("x", (NodeSpec("a", None, "internal", bw=2.5),)),
+        instance_of(True, (NodeSpec("a", 7, "client", w=False, q=[1, {"z": 2, "b": None}]),)),
+        instance_of(3, ()),
     ],
     ids=["non-ascii", "string-capacity", "odd-values", "no-nodes"],
 )
@@ -243,7 +238,7 @@ def test_parse_then_solve_validates_once(worked_example, validate_calls):
 
 
 def test_instance_built_in_code_is_validated_on_transform(validate_calls):
-    inst = NetworkInstance(capacity=10, nodes=(
+    inst = instance_of(10, (
         NodeSpec("r", None, "internal"),
         NodeSpec("c", "r", "client", bw=5, w=3, q=1),
     ))
@@ -252,7 +247,7 @@ def test_instance_built_in_code_is_validated_on_transform(validate_calls):
 
 
 def test_invalid_instance_built_in_code_is_rejected():
-    inst = NetworkInstance(capacity=10, nodes=(
+    inst = instance_of(10, (
         NodeSpec("r", None, "internal"),
         NodeSpec("s", None, "internal"),
         NodeSpec("c", "r", "client", bw=5, w=3, q=1),
@@ -263,6 +258,18 @@ def test_invalid_instance_built_in_code_is_rejected():
         with pytest.raises(StructureError) as err:
             stage(inst)
         assert str(err.value) == expected
+    # a role finding first: the stages raise what require_valid raises
+    inst = instance_of(10, (
+        NodeSpec("r", None, "internal"),
+        NodeSpec("c", "r", "client", bw=5, w=3, q=0),
+    ))
+    with pytest.raises(RoleError) as want:
+        require_valid(inst)
+    assert str(want.value) == "[client-fields] at 'c': client needs integer q >= 1"
+    for stage in (transform_to_star, solve_instance):
+        with pytest.raises(RoleError) as err:
+            stage(inst)
+        assert str(err.value) == str(want.value)
 
 
 # --- the columnar instance against its NodeSpec reference -------------------
@@ -290,7 +297,7 @@ def _node_lists(draw):
 @settings(max_examples=600, deadline=None)
 @given(capacity=st.one_of(st.integers(-1, 9), st.just("x")), nodes=_node_lists())
 def test_validation_matches_the_nodespec_reference(capacity, nodes):
-    inst = NetworkInstance(capacity=capacity, nodes=nodes)
+    inst = instance_of(capacity, nodes)
     assert validate_instance(inst) == reference.validate_instance(inst)
 
 
@@ -309,7 +316,7 @@ def test_validation_matches_the_reference_on_generated_and_doctored_trees():
                     below.add(m.id)
         target = sorted(below)[seed % len(below)]
         nodes[k] = NodeSpec(nodes[k].id, target, nodes[k].kind, 3, nodes[k].w, nodes[k].q)
-        doctored = NetworkInstance(capacity=inst.capacity, nodes=nodes)
+        doctored = instance_of(inst.capacity, nodes)
         found = validate_instance(doctored)
         assert found == reference.validate_instance(doctored)
         assert any(v.code == "cycle" for v in found)
@@ -328,7 +335,7 @@ def test_duplicate_ids_keep_their_input_order():
     first = NodeSpec("a", None, "internal")
     second = NodeSpec("a", "a", "client", bw=1, w=1, q=1)
     for nodes, expect in (([first, second], (first, second)), ([second, first], (second, first))):
-        inst = NetworkInstance(capacity=5, nodes=[NodeSpec("b", "a", "client", 1, 1, 1)] + nodes)
+        inst = instance_of(5, [NodeSpec("b", "a", "client", 1, 1, 1)] + nodes)
         assert inst.nodes[:2] == expect
 
 

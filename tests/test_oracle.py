@@ -93,7 +93,7 @@ def _with(inst, capacity=None, **columns):
     """A copy of ``inst`` with W and any of its columns replaced."""
     cols = {c: list(getattr(inst, c)) for c in ("ids", "parents", "kinds", "bws", "ws", "qs")}
     cols.update(columns)
-    return NetworkInstance.from_columns(capacity or inst.capacity, *cols.values())
+    return NetworkInstance(capacity or inst.capacity, *cols.values())
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 
 from treeplace.contribution import run_phase1
 from treeplace.errors import ContractViolationError, InfeasibleError
-from treeplace.instance import NodeSpec, NetworkInstance, parse_instance
+from treeplace.instance import ARTIFICIAL_ROOT_ID, NodeSpec, parse_instance
 from treeplace.placement import (
     REASON_ROOT_OVERLOAD,
     place_replicas,
@@ -13,6 +13,7 @@ from treeplace.placement import (
 )
 from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
+from tests.reference import instance_of
 
 # Expected call sequence on the worked example: preorder, children in id
 # order, equipped children restart at index 0, the rest inherit i+1.
@@ -48,13 +49,12 @@ def test_worked_example_placement(worked_example):
     assert result.trace == WORKED_TRACE
 
 
-def test_result_equality_covers_the_trace(worked_example):
+def test_result_trace_follows_the_walk(worked_example):
     star = transform_to_star(worked_example)
     result = place_replicas(star, run_phase1(star))
-    assert result == place_replicas(star, run_phase1(star))
-    assert hash(result) == hash(place_replicas(star, run_phase1(star)))
+    assert result.trace == place_replicas(star, run_phase1(star)).trace
     # same replicas, one visit fewer (the merged leaf y, d's last child, cut
-    # out of the walk): the traces differ, so the results do
+    # out of the walk): the traces differ
     kids = list(star.kids)
     d = star.index["d"]
     assert star.ids[kids[d][-1]] == "y"
@@ -62,7 +62,6 @@ def test_result_equality_covers_the_trace(worked_example):
     shorter = dataclasses.replace(result, star=dataclasses.replace(star, kids=kids))
     assert shorter.replicas == result.replicas
     assert shorter.trace == result.trace[:-1]
-    assert shorter != result
 
 
 def test_worked_example_increments_index_at_d(worked_example):
@@ -81,7 +80,7 @@ def test_trace_indices_match_equipped_distance(worked_example):
         # the index is the hop count to the nearest equipped node on the
         # way up, the node itself included (the artificial root ends the walk)
         cur, hops = node, 0
-        while cur != star.root_plus and cur not in equipped:
+        while cur != ARTIFICIAL_ROOT_ID and cur not in equipped:
             cur, hops = parent[cur], hops + 1
         assert idx == hops, node
 
@@ -136,7 +135,7 @@ def test_single_leaf_micro():
     )
     star = transform_to_star(inst)
     table = run_phase1(star)
-    assert table.table(star.root_plus).e_row[0] == ("r",)
+    assert table.table(ARTIFICIAL_ROOT_ID).e_row[0] == ("r",)
     result = place_replicas(star, table)
     assert result.cardinality == 1
     # the replica lives on an eligible leaf, which keeps the id of the
@@ -151,7 +150,7 @@ def test_deep_path_tree_no_recursion_limit():
     for k in range(1, n):
         nodes.append(NodeSpec("n%06d" % k, "n%06d" % (k - 1), "internal", bw=10))
     nodes.append(NodeSpec("leafc", "n%06d" % (n - 1), "client", bw=10, w=4, q=3))
-    inst = NetworkInstance(capacity=10, nodes=tuple(nodes))
+    inst = instance_of(10, nodes)
     out = solve_instance(inst)
     assert out.cardinality == 1
     # served within 3 hops of the bottom of the chain

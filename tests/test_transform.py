@@ -4,7 +4,7 @@ import pytest
 
 from treeplace.errors import InfeasibleError
 from treeplace.generator import GenConfig, generate
-from treeplace.instance import NetworkInstance, NodeSpec, parse_instance
+from treeplace.instance import NodeSpec, parse_instance
 from treeplace.transform import (
     ARTIFICIAL_ROOT_ID,
     REASON_BUNDLE,
@@ -16,7 +16,7 @@ from treeplace.transform import (
     star_to_document,
     transform_to_star,
 )
-from tests.reference import clients_of, nodes_by_id
+from tests.reference import clients_of, instance_of, nodes_by_id
 
 
 def build(w, nodes):
@@ -36,10 +36,10 @@ def internal(id, parent, bw=None):
 
 def test_artificial_root_shape(worked_example):
     star = transform_to_star(worked_example)
-    root = nodes_by_id(star)[star.root_plus]
+    root = nodes_by_id(star)[ARTIFICIAL_ROOT_ID]
     assert root.id == ARTIFICIAL_ROOT_ID
     assert root.parent is None
-    kids = tuple(star.ids[k] for k in star.kids[star.index[star.root_plus]])
+    kids = tuple(star.ids[k] for k in star.kids[star.index[ARTIFICIAL_ROOT_ID]])
     assert kids == ("a",)
     assert nodes_by_id(star)["a"].bw == 0  # the flow-blocking link
 
@@ -207,7 +207,7 @@ def test_bundle_rejects_exhausted_qos():
     # only reachable with q=0 input, which documents cannot express
     with pytest.raises(InfeasibleError) as err:
         _bundle_figures(
-            NetworkInstance(capacity=5, nodes=[NodeSpec("c1", "s", "client", bw=3, w=2, q=0)]),
+            instance_of(5, [NodeSpec("c1", "s", "client", bw=3, w=2, q=0)]),
             [0],
             suppressed=True,
             leaf_id="s",
@@ -234,6 +234,6 @@ def test_single_client_instance():
     # r had only clients: suppressed into an eligible leaf below r+
     leaf = nodes_by_id(star)["r"]
     assert leaf.leaf is not None and leaf.leaf.eligible
-    assert leaf.parent == star.root_plus
+    assert leaf.parent == ARTIFICIAL_ROOT_ID
     assert leaf.bw == 0
     assert (leaf.leaf.weight, leaf.leaf.qos) == (3, 1)

@@ -5,10 +5,10 @@ import pytest
 
 from treeplace.errors import InfeasibleError, StructureError
 from treeplace.generator import GenConfig, generate, small_corpus_config
-from treeplace.instance import parse_instance
+from treeplace.instance import ARTIFICIAL_ROOT_ID, parse_instance
 from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
-from treeplace.verifier import MODE_AGGREGATE, closest_assignment, verify_placement
+from treeplace.verifier import MODE_AGGREGATE, verify_placement
 from tests import reference
 from tests.reference import clients_of, nodes_by_id, verify_star_placement
 
@@ -30,23 +30,21 @@ def tiny(w=3, q=1, bw=9, W=10):
 
 
 def test_closest_picks_equipped_parent():
-    assignment, violations = closest_assignment(tiny(q=1), {"t"})
-    assert assignment == {"c1": "t"}
-    assert violations == []
+    report = verify_placement(tiny(q=1), {"t"})
+    assert report.assignment == {"c1": "t"}
+    assert report.violations == ()
 
 
 def test_closest_prefers_nearest_of_several():
-    assignment, _ = closest_assignment(tiny(q=3), {"r", "s", "t"})
-    assert assignment["c1"] == "t"
-    assignment, _ = closest_assignment(tiny(q=3), {"r", "s"})
-    assert assignment["c1"] == "s"
+    assert verify_placement(tiny(q=3), {"r", "s", "t"}).assignment["c1"] == "t"
+    assert verify_placement(tiny(q=3), {"r", "s"}).assignment["c1"] == "s"
 
 
 def test_out_of_range_replica_is_unserved():
     # only replica is 2 hops up but q=1
-    assignment, violations = closest_assignment(tiny(q=1), {"s"})
-    assert assignment == {"c1": None}
-    assert [(v.kind, v.location, v.amount) for v in violations] == [("unserved", "c1", 3)]
+    report = verify_placement(tiny(q=1), {"s"})
+    assert report.assignment == {"c1": None}
+    assert [(v.kind, v.location, v.amount) for v in report.violations] == [("unserved", "c1", 3)]
 
 
 def test_empty_replica_set_reports_unserved():
@@ -143,7 +141,7 @@ def test_star_equivalence_on_random_subsets():
         eligible = sorted(
             n.id
             for n in star.nodes
-            if (n.leaf is None and n.id != star.root_plus)
+            if (n.leaf is None and n.id != ARTIFICIAL_ROOT_ID)
             or (n.leaf is not None and n.leaf.eligible)
         )
         by_id = nodes_by_id(star)
@@ -190,6 +188,5 @@ def test_report_matches_the_id_walking_reference(mode):
             assert list(got.server_loads.items()) == list(want["server_loads"].items())
             assert got.violations == want["violations"]
             assert got.link_flows == want["link_flows"]
-            assert closest_assignment(inst, replicas) == reference.closest_assignment(inst, replicas)
             compared += 1
     assert compared == 480
