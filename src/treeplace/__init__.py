@@ -9,6 +9,8 @@ any replica set independently; `brute_force_min` is the exhaustive
 ground truth for small instances.
 """
 
+from importlib import import_module
+
 from .contribution import ContributionTable, run_phase1
 from .errors import (
     ConfigError,
@@ -20,7 +22,6 @@ from .errors import (
     SolverError,
     StructureError,
 )
-from .generator import GenConfig, fictivize, generate, generate_dual_role
 from .instance import (
     MODE_AGGREGATE,
     MODE_PER_BUNDLE,
@@ -30,13 +31,17 @@ from .instance import (
     serialize_instance,
     validate_instance,
 )
-from .oracle import OracleResult, brute_force_min
 from .placement import PlacementResult, place_replicas
 from .solver import solve_instance
 from .transform import StarTree, transform_to_star
 from .verifier import FeasibilityReport, verify_placement
 
 __version__ = "0.1.0"
+
+# Loaded on first access (PEP 562), so that a solve loads neither the
+# generator nor the oracle.
+_LAZY = {"GenConfig": "generator", "fictivize": "generator", "generate": "generator",
+         "generate_dual_role": "generator", "OracleResult": "oracle", "brute_force_min": "oracle"}
 
 __all__ = [
     "ConfigError",
@@ -71,3 +76,9 @@ __all__ = [
     "verify_placement",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

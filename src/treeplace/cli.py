@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .contribution import run_phase1
 from .errors import (
@@ -23,30 +24,25 @@ from .errors import (
     MalformedDocumentError,
     SolverError,
 )
-from .generator import (
-    GenConfig,
-    SHAPES,
-    fictivize,
-    generate,
-    generate_dual_role,
-    parse_dual_role,
-    serialize_dual_role,
-    small_corpus_config,
-)
 from .instance import (
+    DEFAULT_MAX_INTERNAL,
     MODE_AGGREGATE,
     MODE_PER_BUNDLE,
     MODES,
+    SHAPES,
+    NetworkInstance,
     load_document,
     parse_instance,
     require_valid,
     serialize_instance,
 )
-from .oracle import DEFAULT_MAX_INTERNAL, brute_force_min
 from .placement import place_replicas, root_workload_check
 from .solver import solve_instance
 from .transform import star_to_document, transform_to_star
 from .verifier import verify_placement
+
+if TYPE_CHECKING:
+    from .generator import GenConfig
 
 AGGREGATE_NOTICE = (
     "notice: aggregate mode is an extension beyond the default per-bundle "
@@ -83,6 +79,14 @@ def _text(render, *args, **kwargs) -> str:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise MalformedDocumentError(f"a number in the result has over {limit} digits") from None
+
+
+def generate(cfg: GenConfig) -> NetworkInstance:
+    """``generator.generate(cfg)``, loading the generator on the first call so
+    that a solve never loads it; a module global, which perfbench's tracer wraps."""
+    from .generator import generate as generate_instance
+
+    return generate_instance(cfg)
 
 
 def _mode_notice(mode: str) -> None:
@@ -164,6 +168,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_min
+
     inst = parse_instance(_read_text(args.instance))
     result = brute_force_min(inst, mode=args.mode, max_internal=args.max_internal)
     doc = {
@@ -179,6 +185,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _compare_one(payload: tuple[int, int, int]) -> tuple[int, int | None, int | None]:
+    from .generator import small_corpus_config
+    from .oracle import brute_force_min
+
     seed, max_internal, max_clients = payload
     cfg = small_corpus_config(seed, max_internal=max_internal, max_clients=max_clients)
     inst = generate(cfg)
@@ -234,6 +243,8 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generator import GenConfig, fictivize, generate_dual_role, parse_dual_role, serialize_dual_role
+
     if args.fictivize is not None:
         net = parse_dual_role(_read_text(args.fictivize))
         inst = fictivize(net)
@@ -334,6 +345,8 @@ def bench_config(n: int, qos: int, seed: int) -> GenConfig:
     dominated by the table computation rather than infeasibility
     handling; qos is fixed to pin the effective table range.
     """
+    from .generator import GenConfig
+
     internal = max(1, (n * 2) // 5)
     clients = max(1, n - internal)
     return GenConfig(
@@ -391,6 +404,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 1
     if not sizes or not qos_values:
         print("error: empty bench sweep", file=sys.stderr)
+        return 1
+    if min(sizes) < 1:
+        print("error: bench sizes must be at least 1", file=sys.stderr)
         return 1
     runs = []
     for qos in qos_values:

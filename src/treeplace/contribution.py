@@ -34,8 +34,7 @@ node's children as parallel lists (keys, values, eligibility).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InfeasibleError
 from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
@@ -95,8 +94,7 @@ def equip_row(
     return tuple(chosen), residual if e0_size in (None, len(chosen)) else INFINITE
 
 
-@dataclass(frozen=True)
-class NodeTable:
+class NodeTable(NamedTuple):
     """Materialized rows for one node (physical rows only, see module doc)."""
 
     node: str

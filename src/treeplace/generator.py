@@ -18,16 +18,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, MalformedDocumentError, StructureError
-from .instance import KIND_CLIENT, KIND_INTERNAL, NetworkInstance, load_document
-
-SHAPES = ("balanced", "path", "random")
+from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, load_document
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     seed: int
     internal: int  # skeleton size, root included
     clients: int
@@ -154,8 +151,7 @@ def small_corpus_config(
 # --- dual-role networks and their reduction -------------------------------
 
 
-@dataclass(frozen=True)
-class DualRoleNetwork:
+class DualRoleNetwork(NamedTuple):
     """Tree where every node is a potential server and may also demand.
 
     demand maps id -> (weight, qos); ids absent demand nothing.
@@ -164,7 +160,7 @@ class DualRoleNetwork:
     capacity: int
     parents: dict[str, str | None]
     bandwidth: dict[str, int]
-    demand: dict[str, tuple[int, int]] = field(default_factory=dict)
+    demand: dict[str, tuple[int, int]]
 
     def to_document(self) -> dict:
         return {

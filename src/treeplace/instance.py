@@ -28,7 +28,6 @@ verifier and the writer read them, and ``NodeSpec`` records are views.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -48,6 +47,11 @@ MODE_PER_BUNDLE = "per-bundle"
 MODE_AGGREGATE = "aggregate"
 MODES = (MODE_PER_BUNDLE, MODE_AGGREGATE)
 
+# The generator's tree shapes and the oracle's size guard, here so that the
+# CLI's parser loads neither module.
+SHAPES = ("balanced", "path", "random")
+DEFAULT_MAX_INTERNAL = 20
+
 _COLUMN_NAMES = ("ids", "parents", "kinds", "bws", "ws", "qs")
 _NODE_FIELDS = {"id", "parent", "kind", "bw", "w", "q"}
 _TOP_FIELDS = {"W", "nodes"}
@@ -58,8 +62,7 @@ _ROLE_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     """One tree node as written in the document."""
 
     id: str
@@ -70,8 +73,7 @@ class NodeSpec:
     q: int | None = None  # QoS hop limit, clients only
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation finding; ``code`` is stable, ``message`` is for humans."""
 
     code: str

@@ -9,17 +9,14 @@ solely as ground truth for the solver in tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GuardExceededError
-from .instance import MODE_PER_BUNDLE, NetworkInstance
+from .instance import DEFAULT_MAX_INTERNAL, MODE_PER_BUNDLE, NetworkInstance
 from .verifier import verify_placement
 
-DEFAULT_MAX_INTERNAL = 20
 
-
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     minimum: int | None  # None when even the full set is infeasible
     witness: tuple[str, ...] | None
     optima: int  # feasible sets at the minimum size (0 when infeasible)

@@ -12,7 +12,6 @@ and records no visits; ``PlacementResult.trace`` re-runs it on first read.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
@@ -23,14 +22,14 @@ from .transform import StarTree
 REASON_ROOT_OVERLOAD = "workload at the root exceeds capacity"
 
 
-@dataclass(frozen=True, eq=False)
 class PlacementResult:
     """The replica set, and the star tree and tables that found it."""
 
-    replicas: tuple[str, ...]  # original internal node ids, ascending
-    cardinality: int
-    star: StarTree = field(repr=False)
-    table: ContributionTable = field(repr=False)
+    def __init__(self, replicas: tuple[str, ...], cardinality: int, star: StarTree, table: ContributionTable):
+        self.replicas = replicas  # original internal node ids, ascending
+        self.cardinality = cardinality
+        self.star = star
+        self.table = table
 
     @cached_property
     def trace(self) -> tuple[tuple[str, int, tuple[str, ...]], ...]:

@@ -26,9 +26,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import insort
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import InfeasibleError
 from .instance import (
@@ -47,8 +46,7 @@ REASON_BUNDLE = "bundle demand exceeds capacity"
 REASON_QOS = "qos exhausted"
 
 
-@dataclass(frozen=True, slots=True)
-class StarLeaf:
+class StarLeaf(NamedTuple):
     """A bundle of sibling clients, attached where their parent was.
 
     ``eligible`` leaves stand in for a former internal node (the parent
@@ -65,15 +63,13 @@ class StarLeaf:
     origin_clients: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class StarNode:
+class StarNode(NamedTuple):
     id: str
     parent: str | None
     bw: int | float | None  # bandwidth of the link to parent; None on the root
     leaf: StarLeaf | None  # None for internal nodes
 
 
-@dataclass(frozen=True, eq=False)
 class StarTree:
     """The normalized tree as flat per-index arrays; the root is artificial.
 
@@ -90,18 +86,21 @@ class StarTree:
     only.
     """
 
-    capacity: int
-    ids: list[str]  # index -> id
-    parents: list[int]  # -1 on the root and on holes
-    bws: list  # link to the parent: int, UNBOUNDED (merged leaf) or None (root)
-    weights: list  # bundle weight on leaves, None elsewhere
-    qoses: list[int]  # bundle qos on leaves
-    eligibles: list[bool]  # may host a replica: internal nodes and eligible leaves
-    bundles: list  # the bundled client indices (ascending) on leaves, None elsewhere
-    kids: list[tuple[int, ...]]  # id-ordered child indices
-    depths: list[int]  # hops up to the root; -1 on holes
-    preorder: list[int]  # parents before children, siblings in id order
-    max_leaf_qos: int
+    def __init__(self, capacity: int, ids: list[str], parents: list[int], bws: list, weights: list,
+                 qoses: list[int], eligibles: list[bool], bundles: list, kids: list[tuple[int, ...]],
+                 depths: list[int], preorder: list[int], max_leaf_qos: int):
+        self.capacity = capacity
+        self.ids = ids  # index -> id
+        self.parents = parents  # -1 on the root and on holes
+        self.bws = bws  # link to the parent: int, UNBOUNDED (merged leaf) or None (root)
+        self.weights = weights  # bundle weight on leaves, None elsewhere
+        self.qoses = qoses  # bundle qos on leaves
+        self.eligibles = eligibles  # may host a replica: internal nodes and eligible leaves
+        self.bundles = bundles  # the bundled client indices (ascending) on leaves, None elsewhere
+        self.kids = kids  # id-ordered child indices
+        self.depths = depths  # hops up to the root; -1 on holes
+        self.preorder = preorder  # parents before children, siblings in id order
+        self.max_leaf_qos = max_leaf_qos
 
     @property
     def root(self) -> int:
@@ -267,20 +266,8 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
                 depths[c] = d
             stack.extend(reversed(below))
 
-    return StarTree(
-        capacity=capacity,
-        ids=ids,
-        parents=parents,
-        bws=bws,
-        weights=weights,
-        qoses=qoses,
-        eligibles=eligibles,
-        bundles=bundles,
-        kids=kids,
-        depths=depths,
-        preorder=preorder,
-        max_leaf_qos=max_qos,
-    )
+    return StarTree(capacity, ids, parents, bws, weights, qoses, eligibles, bundles,
+                    kids, depths, preorder, max_qos)
 
 
 def star_to_document(star: StarTree) -> str:

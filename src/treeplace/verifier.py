@@ -23,30 +23,29 @@ it has its own walks and no code from the solver pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import StructureError
 from .instance import KIND_CLIENT, MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, NetworkInstance
 
 
-@dataclass(frozen=True, slots=True)
-class RuleViolation:
+class RuleViolation(NamedTuple):
     kind: str  # "unserved" | "capacity" | "bandwidth" | "qos"
     location: str  # client id, server id, or child-end id of the link
     amount: int  # demand for unserved; excess over the limit otherwise
 
 
-@dataclass(frozen=True)
 class FeasibilityReport:
-    mode: str
-    server_loads: dict[str, int]
-    violations: tuple[RuleViolation, ...]
-    # the instance checked and the per-index servers of its clients (see
-    # _servers); assignment and link_flows are derived from them on demand
-    instance: NetworkInstance = field(repr=False, compare=False)
-    servers: list = field(repr=False)
+    def __init__(self, mode: str, server_loads: dict[str, int],
+                 violations: tuple[RuleViolation, ...], instance: NetworkInstance, servers: list):
+        self.mode = mode
+        self.server_loads = server_loads
+        self.violations = violations
+        # the instance checked and the per-index servers of its clients (see
+        # _servers); assignment and link_flows are derived from them on demand
+        self.instance = instance
+        self.servers = servers
 
     @property
     def feasible(self) -> bool:
@@ -196,10 +195,4 @@ def verify_placement(
             violations.append(RuleViolation("bandwidth", ids[child_end], load - bw))
 
     ordered = tuple(sorted(violations, key=lambda v: (v.kind, v.location)))
-    return FeasibilityReport(
-        mode=mode,
-        server_loads=loads,
-        violations=ordered,
-        instance=inst,
-        servers=servers,
-    )
+    return FeasibilityReport(mode, loads, ordered, inst, servers)

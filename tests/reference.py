@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import fields
 from typing import Iterable, NamedTuple
 
 from treeplace.contribution import REASON_EXHAUSTED
@@ -54,7 +53,7 @@ def clients_of(inst: NetworkInstance) -> tuple[NodeSpec, ...]:
 def instance_of(capacity, nodes: Iterable[NodeSpec]) -> NetworkInstance:
     """The instance whose columns hold ``nodes``, one ``NodeSpec`` per node."""
     nodes = tuple(nodes)
-    return NetworkInstance(capacity, *([getattr(n, f.name) for n in nodes] for f in fields(NodeSpec)))
+    return NetworkInstance(capacity, *([getattr(n, f) for n in nodes] for f in NodeSpec._fields))
 
 
 # --- instance validation --------------------------------------------------

@@ -385,19 +385,53 @@ def test_compare_caps_jobs_at_the_cpu_count(monkeypatch, capsys, cpus, jobs, poo
     assert made == pools
 
 
-def test_start_up_loads_no_process_pool():
-    """Only ``compare --jobs`` imports the pool, so no other command pays for it."""
-    probe = (
-        "import sys, treeplace.cli as c; c.build_parser(); "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
-    )
+def fresh_interpreter(probe: str) -> str:
+    """The standard output of ``python -c probe``, with this package on the path."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_start_up_loads_no_process_pool():
+    """Only ``compare --jobs`` imports the pool, and only the commands that
+    run them load the generator and the oracle, so a solve pays for none of
+    them; nor for ``dataclasses`` and the ``inspect`` it pulls in."""
+    probe = (
+        "import sys, treeplace.cli as c; c.build_parser(); "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'treeplace.generator', "
+        "'treeplace.oracle', 'dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert fresh_interpreter(probe) == "[]\n"
+
+
+def test_every_public_name_resolves_on_first_access():
+    probe = (
+        "import sys, treeplace as t; loaded = 'treeplace.generator' in sys.modules; "
+        "missing = [n for n in t.__all__ if getattr(t, n, None) is None]; "
+        "from treeplace import generate, brute_force_min; "
+        "print(loaded, missing, generate.__module__, brute_force_min.__module__)"
+    )
+    assert fresh_interpreter(probe) == "False [] treeplace.generator treeplace.oracle\n"
+
+
+def test_gen_and_bench_call_the_module_global_generate():
+    """A tracer reads ``cli.generate`` before any command runs and puts a
+    wrapper in its place; ``gen`` and ``bench`` must then call the wrapper."""
+    probe = (
+        "import os, treeplace.cli as c; original = c.generate; calls = []\n"
+        "def wrapper(cfg):\n"
+        "    calls.append(cfg.seed)\n"
+        "    return original(cfg)\n"
+        "c.generate = wrapper\n"
+        "codes = [c.main(['gen', '--seed', '3', '--out', os.devnull]),"
+        " c.main(['bench', '--sizes', '40', '--seed', '5'])]\n"
+        "print(codes, calls)"
+    )
+    assert fresh_interpreter(probe).splitlines()[-1] == "[0, 0] [3, 5]"
 
 
 def test_compare_bad_seed_spec(capsys):
@@ -419,6 +453,8 @@ def test_compare_bad_seed_spec(capsys):
         ("gen", "--capacity", "0"),
         ("oracle", "--max-internal", "-1", WORKED),
         ("bench", "--sizes", "40", "--qos", "0"),
+        ("bench", "--sizes", "0"),
+        ("bench", "--sizes", "-5"),
     ],
 )
 def test_out_of_range_numbers_give_one_error_line(capsys, argv):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -8,11 +7,12 @@ from treeplace.errors import ContractViolationError, InfeasibleError
 from treeplace.instance import ARTIFICIAL_ROOT_ID, NodeSpec, parse_instance
 from treeplace.placement import (
     REASON_ROOT_OVERLOAD,
+    PlacementResult,
     place_replicas,
     root_workload_check,
 )
 from treeplace.solver import solve_instance
-from treeplace.transform import transform_to_star
+from treeplace.transform import StarTree, transform_to_star
 from tests.reference import instance_of
 
 # Expected call sequence on the worked example: preorder, children in id
@@ -59,7 +59,9 @@ def test_result_trace_follows_the_walk(worked_example):
     d = star.index["d"]
     assert star.ids[kids[d][-1]] == "y"
     kids[d] = kids[d][:-1]
-    shorter = dataclasses.replace(result, star=dataclasses.replace(star, kids=kids))
+    cut = StarTree(star.capacity, star.ids, star.parents, star.bws, star.weights, star.qoses,
+                   star.eligibles, star.bundles, kids, star.depths, star.preorder, star.max_leaf_qos)
+    shorter = PlacementResult(result.replicas, result.cardinality, cut, result.table)
     assert shorter.replicas == result.replicas
     assert shorter.trace == result.trace[:-1]
 
@@ -106,7 +108,8 @@ def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, lo
     """Doctored sets: the detail is the old root with its own load when it
     is equipped, else the demand nothing below it absorbs."""
     star = transform_to_star(worked_example)
-    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas=replicas)
+    placed = place_replicas(star, run_phase1(star))
+    result = PlacementResult(replicas, placed.cardinality, star, placed.table)
     with pytest.raises(InfeasibleError) as err:
         root_workload_check(star, result)
     assert err.value.reason == REASON_ROOT_OVERLOAD
@@ -116,7 +119,8 @@ def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, lo
 def test_root_check_accepts_a_non_optimal_set_that_fits(worked_example):
     star = transform_to_star(worked_example)
     replicas = ("a", "b", "c", "d", "e", "g", "j")
-    result = dataclasses.replace(place_replicas(star, run_phase1(star)), replicas=replicas)
+    placed = place_replicas(star, run_phase1(star))
+    result = PlacementResult(replicas, placed.cardinality, star, placed.table)
     root_workload_check(star, result)  # must not raise
 
 
