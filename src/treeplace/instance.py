@@ -23,6 +23,7 @@ is per-index columns, in id order, and ``NetworkInstance(capacity, ids,
 parents, kinds, bws, ws, qs)`` is its one constructor: the parser and the
 generator build the columns, parse, validation, the transform, the
 verifier and the writer read them, and ``NodeSpec`` records are views.
+An instance defines no equality of its own.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ MODES = (MODE_PER_BUNDLE, MODE_AGGREGATE)
 SHAPES = ("balanced", "path", "random")
 DEFAULT_MAX_INTERNAL = 20
 
-_COLUMN_NAMES = ("ids", "parents", "kinds", "bws", "ws", "qs")
 _NODE_FIELDS = {"id", "parent", "kind", "bw", "w", "q"}
 _TOP_FIELDS = {"W", "nodes"}
 
@@ -92,8 +92,8 @@ class NetworkInstance:
     ``qs`` hold one entry per node; treat them as read-only. The
     constructor takes the six columns over as they are when they arrive
     id-sorted, and otherwise puts them in order by a stable sort
-    (duplicate ids keep their input order), so equality and serialization
-    are canonical.
+    (duplicate ids keep their input order), so serialization is
+    canonical. Instances compare by identity.
 
     ``index`` (id -> index), ``parent_index`` and the ``NodeSpec`` view
     ``nodes`` are built on first read; no stage of a solve reads ``nodes``.
@@ -110,13 +110,6 @@ class NetworkInstance:
             columns = tuple([col[k] for k in order] for col in columns)
         self.capacity = capacity
         self.ids, self.parents, self.kinds, self.bws, self.ws, self.qs = columns
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NetworkInstance):
-            return NotImplemented
-        return self.capacity == other.capacity and all(
-            getattr(self, c) == getattr(other, c) for c in _COLUMN_NAMES
-        )
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -140,13 +133,6 @@ class NetworkInstance:
     @cached_property
     def internal_ids(self) -> tuple[str, ...]:
         return tuple(i for i, kind in zip(self.ids, self.kinds) if kind != KIND_CLIENT)
-
-
-class PrecheckFinding(NamedTuple):
-    client: str
-    kind: str  # "link-bandwidth" | "capacity"
-    demand: int
-    limit: int
 
 
 def load_document(text: str, what: str) -> Any:
@@ -372,21 +358,3 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
         add("no-internal", None, "instance needs at least one internal node")
     return out
 
-
-def precheck_client_links(inst: NetworkInstance) -> list[PrecheckFinding]:
-    """Fast infeasibility screen on client edges and the shared capacity.
-
-    A client whose demand exceeds its own link bandwidth can never be
-    served; a client whose demand exceeds W can never fit on any server.
-    Findings are sorted by client id; an empty list means the screen
-    passed. Tightening any bandwidth can only grow the finding set.
-    """
-    out: list[PrecheckFinding] = []
-    capacity = inst.capacity
-    for node_id, kind, bw, w in zip(inst.ids, inst.kinds, inst.bws, inst.ws):  # id-sorted
-        if kind == KIND_CLIENT:
-            if w > bw:
-                out.append(PrecheckFinding(node_id, "link-bandwidth", w, bw))
-            if w > capacity:
-                out.append(PrecheckFinding(node_id, "capacity", w, capacity))
-    return out

@@ -16,6 +16,10 @@ the original tree in one pass:
 Zero-demand clients are excluded from the qos aggregation: an empty
 bundle constrains nothing.
 
+The pass that builds the original child lists also screens every client:
+one whose demand exceeds its own link or the capacity W can never be
+served, and the transform raises before it allocates the star arrays.
+
 The result is built once as flat per-index arrays (see ``StarTree``);
 phase 1, placement and the root check run on those int indices, and ids
 come back only at output.
@@ -30,20 +34,23 @@ from functools import cached_property
 from typing import Any, NamedTuple
 
 from .errors import InfeasibleError
-from .instance import (
-    ARTIFICIAL_ROOT_ID,
-    KIND_CLIENT,
-    NetworkInstance,
-    precheck_client_links,
-    require_valid,
-)
+from .instance import ARTIFICIAL_ROOT_ID, KIND_CLIENT, NetworkInstance, require_valid
 
 UNBOUNDED = math.inf  # bandwidth/contribution value that never binds
 
 REASON_LINK = "client link bandwidth"
 REASON_CAPACITY = "client demand exceeds capacity"
 REASON_BUNDLE = "bundle demand exceeds capacity"
-REASON_QOS = "qos exhausted"
+
+
+class PrecheckFinding(NamedTuple):
+    """A client that no placement can serve: its demand exceeds its own
+    link (``link-bandwidth``) or the capacity W (``capacity``)."""
+
+    client: str
+    kind: str  # "link-bandwidth" | "capacity"
+    demand: int
+    limit: int
 
 
 class StarLeaf(NamedTuple):
@@ -147,70 +154,46 @@ class StarTree:
         return tuple(n for n in self.nodes if n.leaf is not None)
 
 
-def _bundle_figures(inst: NetworkInstance, clients: list, *, suppressed: bool, leaf_id: str) -> tuple:
-    """Weight and qos of the leaf that bundles the client indices ``clients``.
-
-    ``clients`` are one parent's client children in ascending id order.
-    A suppressed bundle (the parent of an all-client family becomes an
-    eligible leaf) takes min client qos - 1, for the hop from the
-    vanished clients up to the parent; a merged bundle of a mixed parent
-    keeps min client qos. Raises InfeasibleError("qos exhausted") if the
-    qos drops below zero (impossible for validated instances, where
-    q >= 1).
-    """
-    ws, qs = inst.ws, inst.qs
-    weight = 0
-    q_any = q_demanding = UNBOUNDED
-    for c in clients:  # one plain loop: most bundles hold one to three clients
-        q = qs[c]
-        if q < q_any:
-            q_any = q
-        if ws[c]:
-            weight += ws[c]
-            if q < q_demanding:
-                q_demanding = q
-    # zero-demand clients constrain nothing, unless no client demands
-    qos = (q_demanding if weight else q_any) - (1 if suppressed else 0)
-    if qos < 0:
-        raise InfeasibleError(REASON_QOS, ((leaf_id, tuple(inst.ids[c] for c in clients)),))
-    return weight, qos
-
-
 def transform_to_star(inst: NetworkInstance) -> StarTree:
     """Normalize a validated instance into a StarTree.
 
     Raises as :func:`require_valid` does (RoleError or StructureError,
     naming every finding) when the instance does not validate; the
     verdict is the one the instance keeps, so a parsed instance is not
-    validated again. Raises InfeasibleError when the precheck fails or
-    some merged bundle exceeds the shared capacity (the closest policy
-    sends a whole bundle to a single server, so weight > W can never be
-    served). Reads the instance's columns and its int parent column.
+    validated again. Raises InfeasibleError, before it builds any star
+    array, when some client's demand exceeds its own link or W: the
+    details are ``PrecheckFinding`` records in client-id order, and the
+    reason is the link one if any finding is. Raises it too when some
+    bundle exceeds the shared capacity (the closest policy sends a whole
+    bundle to a single server, so weight > W can never be served). Reads
+    the instance's columns and its int parent column.
     """
     require_valid(inst)
-    findings = precheck_client_links(inst)
-    if findings:
-        reason = (
-            REASON_LINK
-            if any(f.kind == "link-bandwidth" for f in findings)
-            else REASON_CAPACITY
-        )
-        raise InfeasibleError(reason, tuple(findings))
-
-    kinds = inst.kinds
+    kinds, ws, qs, capacity = inst.kinds, inst.ws, inst.qs, inst.capacity
     root = len(kinds)
-    ids = inst.ids + [ARTIFICIAL_ROOT_ID]
     ups = [root if up < 0 else up for up in inst.parent_index]  # the old root hangs below r+
     # the original child lists, split by kind, id-ordered because the indices are
     client_kids: list = [None] * (root + 1)
     inner_kids: list = [None] * (root + 1)
-    for v, kind, up in zip(range(root), kinds, ups):
-        lists = client_kids if kind == KIND_CLIENT else inner_kids
+    findings: list[PrecheckFinding] = []
+    for v, kind, up, bw, w in zip(range(root), kinds, ups, inst.bws, ws):
+        if kind == KIND_CLIENT:
+            if w > bw:
+                findings.append(PrecheckFinding(inst.ids[v], "link-bandwidth", w, bw))
+            if w > capacity:
+                findings.append(PrecheckFinding(inst.ids[v], "capacity", w, capacity))
+            lists = client_kids
+        else:
+            lists = inner_kids
         if lists[up] is None:
             lists[up] = [v]
         else:
             lists[up].append(v)
+    if findings:
+        link = any(f.kind == "link-bandwidth" for f in findings)
+        raise InfeasibleError(REASON_LINK if link else REASON_CAPACITY, tuple(findings))
 
+    ids = inst.ids + [ARTIFICIAL_ROOT_ID]
     size = root + 1
     parents = [-1] * size
     bws: list = [None] * size
@@ -220,7 +203,6 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     bundles: list = [None] * size
     kids: list[tuple[int, ...]] = [()] * size
     kids[root] = tuple(inner_kids[root])
-    capacity = inst.capacity
     heavy: list[tuple[str, int]] = []
     max_qos = 0
     for v, kind, up, bw in zip(range(root), kinds, ups, inst.bws):
@@ -242,7 +224,20 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
             parents[leaf] = v
             bws[leaf] = UNBOUNDED
             eligibles[leaf] = False
-        weight, qos = _bundle_figures(inst, clients, suppressed=leaf == v, leaf_id=ids[leaf])
+        weight = 0
+        q_any = q_demanding = UNBOUNDED
+        for c in clients:  # one plain loop: most bundles hold one to three clients
+            q = qs[c]
+            if q < q_any:
+                q_any = q
+            if ws[c]:
+                weight += ws[c]
+                if q < q_demanding:
+                    q_demanding = q
+        # Zero-demand clients constrain nothing, unless no client demands. A
+        # suppressed bundle loses the hop from its clients up to v; validated
+        # clients have q >= 1, so its qos is at least 0.
+        qos = (q_demanding if weight else q_any) - (1 if leaf == v else 0)
         weights[leaf] = weight
         qoses[leaf] = qos
         bundles[leaf] = clients

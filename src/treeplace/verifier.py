@@ -31,7 +31,7 @@ from .instance import KIND_CLIENT, MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, Netwo
 
 
 class RuleViolation(NamedTuple):
-    kind: str  # "unserved" | "capacity" | "bandwidth" | "qos"
+    kind: str  # "unserved" | "capacity" | "bandwidth"
     location: str  # client id, server id, or child-end id of the link
     amount: int  # demand for unserved; excess over the limit otherwise
 

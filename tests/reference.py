@@ -6,6 +6,8 @@ no code with the program's own version:
 
 * ``validate_instance`` and ``verify_placement`` walk ``NodeSpec``
   objects by id, as the program did before it ran on per-index columns;
+* ``precheck_client_links`` is the client screen that the transform
+  runs inside its child-list pass;
 * ``verify_star_placement`` checks a replica set directly on a star tree;
 * ``dual_role_brute_force_min`` is the exhaustive minimum on the
   dual-role model, where every node may both demand and serve;
@@ -54,6 +56,26 @@ def instance_of(capacity, nodes: Iterable[NodeSpec]) -> NetworkInstance:
     """The instance whose columns hold ``nodes``, one ``NodeSpec`` per node."""
     nodes = tuple(nodes)
     return NetworkInstance(capacity, *([getattr(n, f) for n in nodes] for f in NodeSpec._fields))
+
+
+# --- the client screen ----------------------------------------------------
+
+
+def precheck_client_links(inst: NetworkInstance) -> list[tuple[str, str, int, int]]:
+    """The clients no placement can serve, as ``(client, kind, demand, limit)``.
+
+    A client whose demand exceeds its own link bandwidth (``link-bandwidth``)
+    can never be served; one whose demand exceeds W (``capacity``) fits on
+    no server. In client-id order, link before capacity for one client; an
+    empty list means the screen passed.
+    """
+    out = []
+    for c in clients_of(inst):
+        if c.w > c.bw:
+            out.append((c.id, "link-bandwidth", c.w, c.bw))
+        if c.w > inst.capacity:
+            out.append((c.id, "capacity", c.w, inst.capacity))
+    return out
 
 
 # --- instance validation --------------------------------------------------

@@ -330,6 +330,26 @@ def test_inspect_infeasible(tmp_path, capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("command", ["transform", "inspect"])
+def test_infeasible_line_names_every_screen_finding(tmp_path, capsys, command):
+    path = tmp_path / "screened.json"
+    path.write_text(json.dumps({
+        "W": 5,
+        "nodes": [
+            {"id": "r", "parent": None, "kind": "internal"},
+            {"id": "c", "parent": "r", "kind": "client", "bw": 1, "w": 3, "q": 1},
+            {"id": "d", "parent": "r", "kind": "client", "bw": 9, "w": 9, "q": 1},
+        ],
+    }))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "infeasible: client link bandwidth: ["
+        "PrecheckFinding(client='c', kind='link-bandwidth', demand=3, limit=1), "
+        "PrecheckFinding(client='d', kind='capacity', demand=9, limit=5)]\n"
+    )
+
+
 def test_bench_tiny_sweep(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "40,80", "--qos", "2")
     assert code == 0

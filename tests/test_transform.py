@@ -3,20 +3,20 @@ import json
 import pytest
 
 from treeplace.errors import InfeasibleError
-from treeplace.generator import GenConfig, generate
-from treeplace.instance import NodeSpec, parse_instance
+from treeplace.generator import GenConfig, generate, small_corpus_config
+from treeplace.instance import NetworkInstance, parse_instance
 from treeplace.transform import (
     ARTIFICIAL_ROOT_ID,
     REASON_BUNDLE,
     REASON_CAPACITY,
     REASON_LINK,
-    REASON_QOS,
     UNBOUNDED,
-    _bundle_figures,
+    PrecheckFinding,
     star_to_document,
     transform_to_star,
 )
-from tests.reference import clients_of, instance_of, nodes_by_id
+from tests import reference
+from tests.reference import clients_of, nodes_by_id
 
 
 def build(w, nodes):
@@ -124,6 +124,77 @@ def test_precheck_failure_raises_capacity_reason():
     assert err.value.reason == REASON_CAPACITY
 
 
+def test_screen_findings_come_in_client_id_order():
+    # clients of two parents interleave in id order; c3 fails both checks
+    inst = build(
+        8,
+        [
+            internal("r", None),
+            internal("s", "r", bw=50),
+            internal("t", "r", bw=50),
+            client("c1", "t", w=9, q=2),
+            client("c2", "s", w=1, q=2),
+            client("c3", "s", w=12, q=2, bw=10),
+            client("c4", "t", w=3, q=2, bw=2),
+        ],
+    )
+    with pytest.raises(InfeasibleError) as err:
+        transform_to_star(inst)
+    assert err.value.reason == REASON_LINK
+    assert err.value.details == (
+        PrecheckFinding("c1", "capacity", 9, 8),
+        PrecheckFinding("c3", "link-bandwidth", 12, 10),
+        PrecheckFinding("c3", "capacity", 12, 8),
+        PrecheckFinding("c4", "link-bandwidth", 3, 2),
+    )
+    assert all(type(f) is PrecheckFinding for f in err.value.details)
+
+
+@pytest.mark.parametrize(
+    "w,bw,reason,kind,limit",
+    [(4, 3, REASON_LINK, "link-bandwidth", 3), (11, 20, REASON_CAPACITY, "capacity", 10)],
+)
+def test_screened_client_wins_over_an_overweight_bundle(w, bw, reason, kind, limit):
+    inst = build(
+        10,
+        [
+            internal("r", None),
+            internal("s", "r", bw=50),
+            client("a", "s", w=6, q=2),
+            client("b", "s", w=6, q=2),  # the bundle weighs 12 > W
+            internal("t", "r", bw=50),
+            client("c", "t", w=w, q=2, bw=bw),
+        ],
+    )
+    with pytest.raises(InfeasibleError) as err:
+        transform_to_star(inst)
+    assert err.value.reason == reason
+    assert err.value.details == (PrecheckFinding("c", kind, w, limit),)
+
+
+def test_screen_matches_the_reference_precheck():
+    seen = set()
+    for seed in range(3000):
+        base = generate(small_corpus_config(seed, max_internal=12, max_clients=16))
+        columns = (base.ids, base.parents, base.kinds, base.bws, base.ws, base.qs)
+        for capacity in (base.capacity, max(1, base.capacity // 3)):
+            inst = NetworkInstance(capacity, *columns)
+            findings = tuple(reference.precheck_client_links(inst))
+            try:
+                transform_to_star(inst)
+            except InfeasibleError as exc:
+                got = (exc.reason, exc.details)
+            else:
+                got = None
+            if findings:
+                link = any(kind == "link-bandwidth" for _, kind, _, _ in findings)
+                assert got == (REASON_LINK if link else REASON_CAPACITY, findings)
+            else:
+                assert got is None or got[0] == REASON_BUNDLE
+            seen.add(got and got[0])
+    assert seen == {None, REASON_LINK, REASON_CAPACITY, REASON_BUNDLE}
+
+
 def test_merged_bundle_over_capacity_is_infeasible():
     # each client fits alone, the forced merge does not
     inst = build(
@@ -201,19 +272,6 @@ def test_compression_takes_min_qos_without_decrement():
     assert leaf.origin_clients == ("c2", "c9")
     assert "c9" not in nodes_by_id(star)
     assert tuple(star.ids[k] for k in star.kids[star.index["s"]]) == ("c2", "t")
-
-
-def test_bundle_rejects_exhausted_qos():
-    # only reachable with q=0 input, which documents cannot express
-    with pytest.raises(InfeasibleError) as err:
-        _bundle_figures(
-            instance_of(5, [NodeSpec("c1", "s", "client", bw=3, w=2, q=0)]),
-            [0],
-            suppressed=True,
-            leaf_id="s",
-        )
-    assert err.value.reason == REASON_QOS
-    assert err.value.details == (("s", ("c1",)),)
 
 
 def test_star_document_uses_null_for_unbounded(worked_example):
