@@ -36,13 +36,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import InfeasibleError
+from .errors import ContractViolationError
 from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
 from .transform import StarTree
 
 INFINITE = math.inf
-
-REASON_EXHAUSTED = "no feasible assignment within capacity"
 
 
 def equip_row(
@@ -51,7 +49,6 @@ def equip_row(
     eligible: Sequence[bool],
     bound: int | float,
     e0_size: int | None = None,
-    node: str | None = None,
 ) -> tuple[tuple, int | float]:
     """One table row of an internal node: ``(equip set, c)``.
 
@@ -62,11 +59,9 @@ def equip_row(
     eligible child with the largest contribution is equipped (ties:
     smallest key); the set comes back ascending and ``c`` is the residual.
 
-    ``e0_size`` is None for row 0, where running out of eligible children
-    means no replica assignment can serve the subtree at all: a global
-    infeasibility, reported against ``node``. At a deeper row, running out
-    (or an equip set whose size is not row 0's ``e0_size``) makes ``c``
-    infinite.
+    ``e0_size`` is None for row 0. Running out of eligible children makes
+    ``c`` infinite at every row; at a deeper row, so does an equip set
+    whose size is not row 0's ``e0_size``.
     """
     total = sum(values)  # inf when some child cannot be absorbed
     if total <= bound and total != INFINITE:
@@ -79,8 +74,6 @@ def equip_row(
     pos = 0
     while infinites or residual > bound:
         if pos == len(candidates):
-            if e0_size is None:
-                raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
             chosen.sort()
             return tuple(chosen), INFINITE
         neg, key = candidates[pos]
@@ -168,9 +161,9 @@ def _path_bounds(star: StarTree, limit: int) -> list:
 def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable:
     """Fill every node's contribution rows bottom-up.
 
-    Raises InfeasibleError when some subtree cannot be served even with
-    every eligible child equipped (only reachable for programmatically
-    built trees; transformed trees pre-check bundle weights).
+    Raises ContractViolationError, naming the node, when a row 0 comes
+    back infinite: on a transformed tree every eligible child can be
+    equipped and what is left, a merged bundle, weighs at most W.
 
     In aggregate mode the greedy bound at ``(v, i)`` is the capacity
     capped by the smallest bandwidth on the i-edge path above ``v``,
@@ -179,8 +172,8 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
 
     Row 0 of an internal node is computed in full. Row ``i >= 1`` is the
     same function of the children's values at ``i + 1`` and the bound as
-    row ``i - 1`` is of theirs at ``i`` (an unexhausted row 0 sets the
-    equip-set size that later rows must keep), so it is computed only
+    row ``i - 1`` is of theirs at ``i`` (row 0 sets the equip-set size
+    that later rows must keep), so it is computed only
     where some child's contribution changes at ``i + 1`` or the bound
     drops at ``i``, and is stored only where it differs from row ``i - 1``.
     """
@@ -237,8 +230,9 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
         for pos, val in changes.pop(0, ()):
             current[pos] = val
 
-        name = ids[v]
-        last_e, last_c = equip_row(below, current, elig, capacity, None, name)
+        last_e, last_c = equip_row(below, current, elig, capacity)
+        if last_c == INFINITE:
+            raise ContractViolationError(f"phase 1 left row 0 of {ids[v]!r} infinite")
         e0_size = len(last_e)
         m_values[v] = sum(m_values[k] for k in below) + e0_size
         segs = [(0, last_c, last_e)]
@@ -252,7 +246,7 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
                     bound = val
                 else:
                     current[pos] = val
-            e, c = equip_row(below, current, elig, bound, e0_size, name)
+            e, c = equip_row(below, current, elig, bound, e0_size)
             if c != last_c or e != last_e:
                 segs.append((i, c, e))
                 last_e, last_c = e, c

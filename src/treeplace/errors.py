@@ -23,8 +23,8 @@ class InfeasibleError(SolverError):
     """No replica set can satisfy the constraints.
 
     Infeasibility is a domain outcome, not a defect: the CLI maps it to
-    exit status 2. ``reason`` is a short stable string, ``details`` an
-    optional tuple of finding records.
+    exit status 2. Only the transform's screen raises it. ``reason`` is
+    a short stable string, ``details`` an optional tuple of finding records.
     """
 
     def __init__(self, reason: str, details: tuple = ()):
@@ -42,4 +42,4 @@ class ConfigError(SolverError):
 
 
 class ContractViolationError(SolverError):
-    """An internal invariant was broken; always indicates a bug."""
+    """An internal invariant was broken; always a bug (the CLI exits 1)."""

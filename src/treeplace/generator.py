@@ -180,6 +180,8 @@ class DualRoleNetwork(NamedTuple):
 def generate_dual_role(seed: int, size: int, capacity: int) -> DualRoleNetwork:
     if size < 1:
         raise ConfigError("need at least one node")
+    if capacity < 1:
+        raise ConfigError("capacity must be positive")
     rng = random.Random(seed)
     ids = [f"n{k:03d}" for k in range(size)]
     parents: dict[str, str | None] = {ids[0]: None}

@@ -16,10 +16,8 @@ from functools import cached_property
 from itertools import islice
 
 from .contribution import ContributionTable
-from .errors import ContractViolationError, InfeasibleError
+from .errors import ContractViolationError
 from .transform import StarTree
-
-REASON_ROOT_OVERLOAD = "workload at the root exceeds capacity"
 
 
 class PlacementResult:
@@ -98,10 +96,10 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
     Every demanding bundle flows to its nearest equipped ancestor (or
     itself). If the old root is equipped its own load must fit the
     capacity; if not, nothing may be left over at the root, because no
-    demand can cross the zero-bandwidth artificial link. A correct
-    Phase 1 can never trip this; raising loudly beats returning a bogus
-    placement. One preorder pass carries each node's nearest equipped
-    ancestor-or-self (-1: none below the artificial root).
+    demand can cross the zero-bandwidth artificial link. Only a solver
+    defect trips this: ContractViolationError names the old root and the
+    load left there. One preorder pass carries each node's nearest
+    equipped ancestor-or-self (-1: none below the artificial root).
     """
     ids = star.ids
     equipped = {bisect_left(ids, r, 0, star.root) for r in result.replicas}  # id order
@@ -123,9 +121,6 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
             elif s < 0:
                 unabsorbed += weight
 
-    old_root_id = ids[old_root]
-    if old_root in equipped:
-        if root_load > star.capacity:
-            raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root_id, root_load),))
-    elif unabsorbed:
-        raise InfeasibleError(REASON_ROOT_OVERLOAD, ((old_root_id, unabsorbed),))
+    load, limit = (root_load, star.capacity) if old_root in equipped else (unabsorbed, 0)
+    if load > limit:
+        raise ContractViolationError(f"old root {ids[old_root]!r} is left with load {load}, over {limit}")

@@ -16,9 +16,11 @@ the original tree in one pass:
 Zero-demand clients are excluded from the qos aggregation: an empty
 bundle constrains nothing.
 
-The pass that builds the original child lists also screens every client:
-one whose demand exceeds its own link or the capacity W can never be
-served, and the transform raises before it allocates the star arrays.
+The pass that builds the original child lists also screens every client
+(demand over its own link or W) and raises before it allocates the star
+arrays; a sibling bundle heavier than W fails the screen too. The screen
+is exact in both modes: equipping every internal node serves each bundle
+one hop up, at its own parent, across only its clients' own links.
 
 The result is built once as flat per-index arrays (see ``StarTree``);
 phase 1, placement and the root check run on those int indices, and ids
@@ -164,9 +166,8 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     array, when some client's demand exceeds its own link or W: the
     details are ``PrecheckFinding`` records in client-id order, and the
     reason is the link one if any finding is. Raises it too when some
-    bundle exceeds the shared capacity (the closest policy sends a whole
-    bundle to a single server, so weight > W can never be served). Reads
-    the instance's columns and its int parent column.
+    bundle exceeds W, as one server takes a whole bundle. Reads the
+    instance's columns and its int parent column.
     """
     require_valid(inst)
     kinds, ws, qs, capacity = inst.kinds, inst.ws, inst.qs, inst.capacity

@@ -23,8 +23,7 @@ import itertools
 import math
 from typing import Iterable, NamedTuple
 
-from treeplace.contribution import REASON_EXHAUSTED
-from treeplace.errors import GuardExceededError, InfeasibleError, StructureError
+from treeplace.errors import GuardExceededError, StructureError
 from treeplace.instance import (
     ARTIFICIAL_ROOT_ID,
     KIND_CLIENT,
@@ -374,22 +373,16 @@ def internal_node_update(
     hops: int,
     bound: int | float,
     e0_size: int | None = None,
-    node: str | None = None,
 ) -> tuple[tuple, int | float]:
     """One table row for an internal node, ``(equip set, c)``.
 
     ``children`` carries ``(child key, contribution at hops+1, eligible)``.
-    At ``hops = 0`` an exhausted greedy means no replica assignment can
-    serve the subtree at all, a global infeasibility reported against
-    ``node``. At deeper indices exhaustion, or an equip set that is not
-    the ``hops = 0`` size ``e0_size``, marks the row infinite.
+    An exhausted greedy marks the row infinite at every index; at deeper
+    indices so does an equip set that is not the ``hops = 0`` size
+    ``e0_size``.
     """
     result = greedy_e_set(children, bound)
-    if hops == 0:
-        if result.exhausted:
-            raise InfeasibleError(REASON_EXHAUSTED, () if node is None else (node,))
-        return result.selected, result.residual
-    if result.exhausted or len(result.selected) != e0_size:
+    if result.exhausted or (hops > 0 and len(result.selected) != e0_size):
         return result.selected, INFINITE
     return result.selected, result.residual
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeplace.cli as cli
-from treeplace.cli import AGGREGATE_NOTICE, main
+import treeplace.solver as solver
+from treeplace.cli import AGGREGATE_NOTICE, build_parser, main
+from treeplace.placement import PlacementResult
 from tests.conftest import FIXTURES, load_fixture_text
 
 WORKED = str(FIXTURES / "worked_example.json")
@@ -70,6 +73,18 @@ def test_solve_infeasible_precheck(tmp_path, capsys):
     assert body["feasible"] is False
     assert body["reason"] == "client link bandwidth"
     assert body["details"] == [["c", "link-bandwidth", 9, 2]]
+
+
+def test_solve_reports_a_broken_root_check_as_one_error_line(capsys, monkeypatch):
+    """A placement that leaves load at the root is a solver defect: exit 1,
+    one ``error:`` line, and no ``"feasible": false`` document."""
+    monkeypatch.setattr(
+        solver, "place_replicas", lambda star, table: PlacementResult((), 0, star, table)
+    )
+    code, out, err = run(capsys, "solve", WORKED)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_aggregate_prints_notice(capsys):
@@ -475,6 +490,7 @@ def test_compare_bad_seed_spec(capsys):
         ("bench", "--sizes", "40", "--qos", "0"),
         ("bench", "--sizes", "0"),
         ("bench", "--sizes", "-5"),
+        ("gen", "--dual-role", "--capacity", "0"),
     ],
 )
 def test_out_of_range_numbers_give_one_error_line(capsys, argv):
@@ -638,3 +654,28 @@ def test_any_document_exits_cleanly(fuzz_paths, doc):
             code = main(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """The README's CLI code block, one joined line per subcommand."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("treeplace "):
+            name = line.split()[1]
+            synopsis[name] = line
+        else:  # an indented continuation of the subcommand above
+            synopsis[name] += " " + line.strip()
+    return synopsis
+
+
+def test_readme_synopsis_lists_every_long_option():
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    synopsis = _readme_synopsis()
+    assert sorted(synopsis) == sorted(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and opt != "--help":
+                    assert re.search(rf"{opt}(?![\w-])", synopsis[name]), (name, opt)

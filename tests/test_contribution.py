@@ -10,12 +10,11 @@ from treeplace.contribution import (
     INFINITE,
     MODE_AGGREGATE,
     MODE_PER_BUNDLE,
-    REASON_EXHAUSTED,
     NodeTable,
     equip_row,
     run_phase1,
 )
-from treeplace.errors import InfeasibleError
+from treeplace.errors import ContractViolationError, InfeasibleError
 from treeplace.generator import SHAPES, GenConfig, generate
 from treeplace.instance import parse_instance
 from treeplace.transform import StarLeaf, transform_to_star
@@ -96,15 +95,13 @@ def test_greedy_tie_breaks_on_smallest_id():
 
 
 def test_greedy_ineligible_overload_exhausts():
-    with pytest.raises(InfeasibleError):
-        equip_row(["x"], [20], [False], 15)
+    assert equip_row(["x"], [20], [False], 15) == ((), INF)
     assert equip_row(["x"], [20], [False], 15, e0_size=0) == ((), INF)
     assert greedy_e_set([("x", 20, False)], bound=15) == ((), 20, True)
 
 
 def test_greedy_unremovable_infinite_exhausts():
-    with pytest.raises(InfeasibleError):
-        equip_row(["x", "a"], [INF, 2], [False, True], 15)
+    assert equip_row(["x", "a"], [INF, 2], [False, True], 15) == (("a",), INF)
     assert equip_row(["x", "a"], [INF, 2], [False, True], 15, e0_size=1) == (("a",), INF)
     assert greedy_e_set([("x", INF, False), ("a", 2, True)], bound=15) == (("a",), INF, True)
 
@@ -130,12 +127,10 @@ def test_greedy_properties(items, bound):
     values = [c for c, _num, _e in items]
     elig = [e for _c, _num, e in items]
     by_key = dict(zip(keys, zip(values, elig)))
-    try:
-        selected, residual = equip_row(keys, values, elig, bound)
-    except InfeasibleError:
-        # row 0 ran out; a deeper row reports the partial set as infinite
-        selected, residual = equip_row(keys, values, elig, bound, e0_size=0)
-        assert residual == INF
+    selected, residual = equip_row(keys, values, elig, bound)
+    if residual == INF:
+        # ran out of eligible children: infinite at every row
+        assert equip_row(keys, values, elig, bound, len(selected)) == (selected, INF)
         # everything eligible is in, and the rest still does not fit
         assert set(selected) == {k for k, e in zip(keys, elig) if e}
         left = [c for k, c in zip(keys, values) if k not in set(selected)]
@@ -174,10 +169,22 @@ def test_internal_update_narrated_c():
     assert c_val == 11
 
 
-def test_internal_update_exhausted_at_zero_is_infeasible():
-    with pytest.raises(InfeasibleError) as info:
-        equip_row(["x"], [20], [False], bound=15, node="v")
-    assert (info.value.reason, info.value.details) == (REASON_EXHAUSTED, ("v",))
+def test_internal_update_exhausted_at_zero_is_infinite():
+    e_set, c_val = equip_row(["x"], [20], [False], bound=15)
+    assert c_val == INF
+    assert e_set == ()
+
+
+def test_phase1_reports_an_infinite_row_zero_as_a_defect(worked_example):
+    """A transformed tree never exhausts a row 0; one whose leaves are all
+    made ineligible does, and phase 1 names the node instead of calling
+    the instance infeasible."""
+    star = transform_to_star(worked_example)
+    for v in star.preorder:
+        if star.weights[v] is not None:
+            star.eligibles[v] = False
+    with pytest.raises(ContractViolationError, match=r"row 0 of '\w+'"):
+        run_phase1(star)
 
 
 def test_internal_update_exhausted_deeper_is_infinite():
@@ -280,8 +287,8 @@ def test_rows_past_zero_are_computed_only_where_inputs_change(monkeypatch):
     real = contribution.equip_row
     monkeypatch.setattr(
         contribution, "equip_row",
-        lambda keys, values, elig, bound, e0_size=None, node=None:
-            calls.append(e0_size) or real(keys, values, elig, bound, e0_size, node),
+        lambda keys, values, elig, bound, e0_size=None:
+            calls.append(e0_size) or real(keys, values, elig, bound, e0_size),
     )
     table = run_phase1(star)
     internal = [v for v in star.preorder if star.weights[v] is None]

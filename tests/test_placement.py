@@ -3,14 +3,9 @@ import json
 import pytest
 
 from treeplace.contribution import run_phase1
-from treeplace.errors import ContractViolationError, InfeasibleError
+from treeplace.errors import ContractViolationError
 from treeplace.instance import ARTIFICIAL_ROOT_ID, NodeSpec, parse_instance
-from treeplace.placement import (
-    REASON_ROOT_OVERLOAD,
-    PlacementResult,
-    place_replicas,
-    root_workload_check,
-)
+from treeplace.placement import PlacementResult, place_replicas, root_workload_check
 from treeplace.solver import solve_instance
 from treeplace.transform import StarTree, transform_to_star
 from tests.reference import instance_of
@@ -105,15 +100,14 @@ def test_root_check_passes_on_worked_example(worked_example):
     ],
 )
 def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, load):
-    """Doctored sets: the detail is the old root with its own load when it
-    is equipped, else the demand nothing below it absorbs."""
+    """Doctored sets are a solver defect, not an infeasible instance: the
+    message names the old root with its own load when it is equipped, else
+    the demand nothing below it absorbs."""
     star = transform_to_star(worked_example)
     placed = place_replicas(star, run_phase1(star))
     result = PlacementResult(replicas, placed.cardinality, star, placed.table)
-    with pytest.raises(InfeasibleError) as err:
+    with pytest.raises(ContractViolationError, match=rf"old root 'a' is left with load {load}\b"):
         root_workload_check(star, result)
-    assert err.value.reason == REASON_ROOT_OVERLOAD
-    assert err.value.details == (("a", load),)
 
 
 def test_root_check_accepts_a_non_optimal_set_that_fits(worked_example):

@@ -1,10 +1,13 @@
+import collections
 import json
+import random
 
 import pytest
 
 from treeplace.errors import InfeasibleError
 from treeplace.generator import GenConfig, generate, small_corpus_config
-from treeplace.instance import NetworkInstance, parse_instance
+from treeplace.instance import KIND_CLIENT, MODES, SHAPES, NetworkInstance, parse_instance
+from treeplace.solver import solve_instance
 from treeplace.transform import (
     ARTIFICIAL_ROOT_ID,
     REASON_BUNDLE,
@@ -15,6 +18,7 @@ from treeplace.transform import (
     star_to_document,
     transform_to_star,
 )
+from treeplace.verifier import verify_placement
 from tests import reference
 from tests.reference import clients_of, nodes_by_id
 
@@ -193,6 +197,55 @@ def test_screen_matches_the_reference_precheck():
                 assert got is None or got[0] == REASON_BUNDLE
             seen.add(got and got[0])
     assert seen == {None, REASON_LINK, REASON_CAPACITY, REASON_BUNDLE}
+
+
+def _tight_instance(seed: int, shape: str, nodes: int) -> NetworkInstance:
+    """A generated instance with W at its heaviest sibling bundle, give or
+    take one, and links as narrow as the demands. Client links are widened
+    to their own demand, except one demanding client's in a quarter of draws."""
+    rng = random.Random(seed)
+    internal = nodes // 2
+    base = generate(GenConfig(seed, internal, nodes - internal, capacity=1, shape=shape,
+                              weight_range=(0, 8), qos_range=(1, 4), bandwidth_range=(1, 16)))
+    ws, bws = base.ws, list(base.bws)
+    bundles: collections.Counter = collections.Counter()
+    clients = [v for v, kind in enumerate(base.kinds) if kind == KIND_CLIENT]
+    for v in clients:
+        bundles[base.parents[v]] += ws[v]
+        bws[v] = max(bws[v], ws[v])
+    if rng.random() < 0.25:
+        v = rng.choice([v for v in clients if ws[v]])
+        bws[v] = ws[v] - 1
+    capacity = max(1, max(bundles.values()) + rng.choice((-1, 0, 0, 1)))
+    return NetworkInstance(capacity, base.ids, base.parents, base.kinds, bws, ws, base.qs)
+
+
+def test_screen_is_exact_at_real_sizes():
+    """Needs no oracle, so it holds at any size: the screen passes exactly
+    when the set of all internal nodes verifies, and exactly when a solve
+    returns a placement that verifies. Each mode and shape runs at six
+    sizes from 10^2 to 10^4 nodes."""
+    seen = set()
+    for seed in range(36):
+        mode, shape = MODES[seed % 2], SHAPES[seed // 2 % 3]
+        nodes = round(10 ** (2 + 2 * (seed // 6) / 5))
+        inst = _tight_instance(seed, shape, nodes)
+        try:
+            transform_to_star(inst)
+        except InfeasibleError:
+            screened = False
+        else:
+            screened = True
+        everywhere = verify_placement(inst, set(inst.internal_ids), mode).feasible
+        try:
+            placed = solve_instance(inst, mode)
+        except InfeasibleError:
+            solved = False
+        else:
+            solved = verify_placement(inst, set(placed.replicas), mode).feasible
+        assert screened == everywhere == solved, (seed, mode, shape, nodes)
+        seen.add((mode, screened))
+    assert len(seen) == 4, seen
 
 
 def test_merged_bundle_over_capacity_is_infeasible():
