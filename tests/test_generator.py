@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from treeplace.cli import bench_config
 from treeplace.errors import ConfigError
 from treeplace.generator import (
     DualRoleNetwork,
@@ -38,6 +39,41 @@ def test_same_seed_same_document():
 def test_documents_are_pinned(cfg, digest):
     """Seeded documents stay byte-identical: same draws, same order, same text."""
     assert hashlib.sha1(serialize_instance(generate(cfg)).encode()).hexdigest() == digest
+
+
+def _sha1(texts) -> str:
+    h = hashlib.sha1()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_small_corpus_is_pinned():
+    """The oracle gate's documents: every draw of `small_corpus_config` and `generate`."""
+    texts = (serialize_instance(generate(small_corpus_config(seed))) for seed in range(500))
+    assert _sha1(texts) == "48d52140dc60f4208cfffb00ff3e2782df773794"
+
+
+@pytest.mark.parametrize(
+    "size,digest",
+    [(10, "117d41757a01b25866cdaa119d4a23cfdb76cc2c"),
+     (200, "4100c266e930580fa8f943c2ec1392348c120141")],
+)
+def test_dual_role_documents_are_pinned(size, digest):
+    texts = (serialize_dual_role(generate_dual_role(seed, size, 7)) for seed in range(5))
+    assert _sha1(texts) == digest
+
+
+def test_width_one_ranges_still_draw():
+    """A one-value range still takes bits from the stream, so later draws depend on it."""
+    cfg = GenConfig(seed=6, internal=50, clients=80, capacity=30, shape="balanced",
+                    branching=(1, 1), weight_range=(0, 0), qos_range=(8, 8))
+    assert _sha1([serialize_instance(generate(cfg))]) == "79f4d7a8b26fad2c2fc0f26c667e4c89f51efb52"
+
+
+def test_bench_documents_are_pinned():
+    text = serialize_instance(generate(bench_config(10**4, 8, 7)))
+    assert _sha1([text]) == "b6c22d2b541e343a750dda46ff6e618958c2a99a"
 
 
 def test_different_seeds_differ():
