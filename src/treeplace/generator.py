@@ -11,17 +11,20 @@ Two families:
   child on an effectively unbounded link.
 
 Everything is driven by `random.Random(seed)`; equal configs yield
-byte-identical documents.
+byte-identical documents. Integers are drawn by `_below`, `_belows` and
+`_shuffle` straight from `Random.getrandbits`, with exactly the calls that
+`Random.randint`, `randrange` and `shuffle` make, so a seed gives the
+documents those methods gave.
 """
 
 from __future__ import annotations
 
-import json
 import random
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import ConfigError, MalformedDocumentError, StructureError
-from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, load_document
+from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, _json_value, load_document
 
 
 class GenConfig(NamedTuple):
@@ -58,37 +61,68 @@ class GenConfig(NamedTuple):
             raise ConfigError("capacity must be positive")
 
 
-def _skeleton(cfg: GenConfig, rng: random.Random) -> dict[str, str | None]:
+def _below(getrandbits, n: int) -> int:
+    """A value in ``range(n)``, drawn as ``Random._randbelow(n)`` draws it.
+
+    ``Random.randint(lo, hi)`` is ``lo + _below(hi - lo + 1)`` and
+    ``randrange(n)`` is ``_below(n)``: one ``n.bit_length()``-bit draw,
+    repeated while it is ``>= n``. So ``n == 1`` still takes bits.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _belows(getrandbits, widths) -> list[int]:
+    """``[_below(getrandbits, n) for n in widths]``, without a call per draw."""
+    out = []
+    for n in widths:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """``Random.shuffle(x)``: swap each position, last first, with one at or before it."""
+    for i, j in zip(range(len(x) - 1, 0, -1), _belows(getrandbits, range(len(x), 1, -1))):
+        x[i], x[j] = x[j], x[i]
+
+
+def _skeleton(cfg: GenConfig, getrandbits) -> dict[str, str | None]:
     """Internal ids to parent ids. n000 is always the root."""
     ids = [f"n{k:03d}" for k in range(cfg.internal)]
-    parents: dict[str, str | None] = {ids[0]: None}
     if cfg.shape == "path":
-        for prev, cur in zip(ids, ids[1:]):
-            parents[cur] = prev
-    elif cfg.shape == "balanced":
-        frontier = [ids[0]]
-        placed = 1  # ids[placed:] still wait for a parent
-        while placed < len(ids):
-            nxt: list[str] = []
-            for node in frontier:
-                take = min(rng.randint(*cfg.branching), len(ids) - placed)
-                for child in ids[placed : placed + take]:
-                    parents[child] = node
-                    nxt.append(child)
-                placed += take
-                if placed == len(ids):
-                    break
-            frontier = nxt or frontier
-    else:  # random attachment
-        for k, cur in enumerate(ids[1:], start=1):
-            parents[cur] = ids[rng.randrange(k)]
+        return dict(zip(ids, [None] + ids[:-1]))
+    if cfg.shape == "random":  # random attachment: node k under one of the k before it
+        picks = _belows(getrandbits, range(1, len(ids)))
+        return dict(zip(ids, [None] + [ids[j] for j in picks]))
+    parents: dict[str, str | None] = {ids[0]: None}
+    lo, hi = cfg.branching
+    frontier = [ids[0]]
+    placed = 1  # ids[placed:] still wait for a parent
+    while placed < len(ids):
+        nxt: list[str] = []
+        for node in frontier:
+            take = min(lo + _below(getrandbits, hi - lo + 1), len(ids) - placed)
+            for child in ids[placed : placed + take]:
+                parents[child] = node
+                nxt.append(child)
+            placed += take
+            if placed == len(ids):
+                break
+        frontier = nxt or frontier
     return parents
 
 
 def generate(cfg: GenConfig) -> NetworkInstance:
     cfg.check()
-    rng = random.Random(cfg.seed)
-    parents = _skeleton(cfg, rng)
+    getrandbits = random.Random(cfg.seed).getrandbits
+    parents = _skeleton(cfg, getrandbits)
     internal_ids = sorted(parents)
 
     with_children = set(parents.values())
@@ -98,20 +132,22 @@ def generate(cfg: GenConfig) -> NetworkInstance:
             f"{cfg.clients} clients cannot cover {len(childless)} childless "
             "skeleton nodes; raise clients or shrink the skeleton"
         )
-    hosts = list(childless)
-    hosts += [internal_ids[rng.randrange(len(internal_ids))] for _ in range(cfg.clients - len(childless))]
-    rng.shuffle(hosts)
+    n_int = len(internal_ids)
+    extra = _belows(getrandbits, repeat(n_int, cfg.clients - len(childless)))
+    hosts = childless + [internal_ids[j] for j in extra]
+    _shuffle(getrandbits, hosts)
 
     # the columns directly: internal nodes, then clients, each drawing bw (w, q)
-    n_int = len(internal_ids)
     ids = internal_ids + [f"c{k:03d}" for k in range(len(hosts))]
     up_ids = [parents[nid] for nid in internal_ids] + hosts
-    bws = [None if parent is None else rng.randint(*cfg.bandwidth_range) for parent in up_ids[:n_int]]
-    ws, qs = [None] * n_int, [None] * n_int
-    for _host in hosts:
-        bws.append(rng.randint(*cfg.bandwidth_range))
-        ws.append(rng.randint(*cfg.weight_range))
-        qs.append(rng.randint(*cfg.qos_range))
+    (bw_lo, bw_hi), (w_lo, w_hi), (q_lo, q_hi) = cfg.bandwidth_range, cfg.weight_range, cfg.qos_range
+    bw_n, w_n, q_n = bw_hi - bw_lo + 1, w_hi - w_lo + 1, q_hi - q_lo + 1
+    # n000, the root, sorts first and has no link
+    bws = [None] + [bw_lo + r for r in _belows(getrandbits, repeat(bw_n, n_int - 1))]
+    drawn = _belows(getrandbits, chain.from_iterable(repeat((bw_n, w_n, q_n), len(hosts))))
+    bws += [bw_lo + r for r in drawn[0::3]]
+    ws = [None] * n_int + [w_lo + r for r in drawn[1::3]]
+    qs = [None] * n_int + [q_lo + r for r in drawn[2::3]]
     kinds = [KIND_INTERNAL] * n_int + [KIND_CLIENT] * len(hosts)
     inst = NetworkInstance(cfg.capacity, ids, up_ids, kinds, bws, ws, qs)
     if inst.violations:  # pragma: no cover - would be a generator bug
@@ -162,20 +198,6 @@ class DualRoleNetwork(NamedTuple):
     bandwidth: dict[str, int]
     demand: dict[str, tuple[int, int]]
 
-    def to_document(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "nodes": [
-                {
-                    "id": nid,
-                    "parent": self.parents[nid],
-                    "bw": self.bandwidth[nid],
-                    "demand": list(self.demand[nid]) if nid in self.demand else None,
-                }
-                for nid in sorted(self.parents)
-            ],
-        }
-
 
 def generate_dual_role(seed: int, size: int, capacity: int) -> DualRoleNetwork:
     if size < 1:
@@ -183,18 +205,17 @@ def generate_dual_role(seed: int, size: int, capacity: int) -> DualRoleNetwork:
     if capacity < 1:
         raise ConfigError("capacity must be positive")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     ids = [f"n{k:03d}" for k in range(size)]
-    parents: dict[str, str | None] = {ids[0]: None}
-    for k, cur in enumerate(ids[1:], start=1):
-        parents[cur] = ids[rng.randrange(k)]
-    bandwidth = {nid: rng.randint(2, 16) for nid in ids}
+    parents = dict(zip(ids, [None] + [ids[j] for j in _belows(getrandbits, range(1, size))]))
+    bandwidth = dict(zip(ids, [2 + r for r in _belows(getrandbits, repeat(15, size))]))
     demand: dict[str, tuple[int, int]] = {}
     for nid in ids:
         if rng.random() < 0.7:
-            demand[nid] = (rng.randint(0, 6), rng.randint(0, 3))
+            demand[nid] = (_below(getrandbits, 7), _below(getrandbits, 4))
     if not any(w for w, _ in demand.values()):
-        heavy = ids[rng.randrange(len(ids))]
-        demand[heavy] = (rng.randint(1, 6), rng.randint(0, 3))
+        heavy = ids[_below(getrandbits, size)]
+        demand[heavy] = (1 + _below(getrandbits, 6), _below(getrandbits, 4))
     return DualRoleNetwork(capacity=capacity, parents=parents, bandwidth=bandwidth, demand=demand)
 
 
@@ -271,6 +292,8 @@ def parse_dual_role(text: str) -> DualRoleNetwork:
                 raise MalformedDocumentError(
                     f"demand of {nid!r} must be null or a [weight, qos] pair of integers"
                 )
+            if pair[0] < 0 or pair[1] < 0:
+                raise MalformedDocumentError(f"demand of {nid!r} needs weight >= 0 and qos >= 0")
             demand[nid] = (pair[0], pair[1])
     for nid, parent in parents.items():
         if parent is not None and parent not in parents:
@@ -281,4 +304,25 @@ def parse_dual_role(text: str) -> DualRoleNetwork:
 
 
 def serialize_dual_role(net: DualRoleNetwork) -> str:
-    return json.dumps(net.to_document(), indent=2, sort_keys=True) + "\n"
+    """The document text, id-sorted nodes: exactly what ``json.dumps(doc,
+    indent=2, sort_keys=True) + "\\n"`` writes, with each node's keys in
+    their sorted order (``bw``, ``demand``, ``id``, ``parent``)."""
+    pad = " " * 6
+    blocks = []
+    for nid in sorted(net.parents):
+        pair = net.demand.get(nid)
+        if pair is None:
+            demand = "null"
+        elif len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
+            demand = "[\n        %d,\n        %d\n      ]" % (pair[0], pair[1])
+        else:
+            demand = _json_value(list(pair), pad)
+        blocks.append(
+            '    {\n      "bw": %s,\n      "demand": %s,\n      "id": %s,\n      "parent": %s\n    }'
+            % (_json_value(net.bandwidth[nid], pad), demand, _json_value(nid, pad),
+               _json_value(net.parents[nid], pad))
+        )
+    head = '{\n  "capacity": ' + _json_value(net.capacity, "  ") + ',\n  "nodes": '
+    if not blocks:
+        return head + "[]\n}\n"
+    return head + "[\n" + ",\n".join(blocks) + "\n  ]\n}\n"

@@ -240,20 +240,38 @@ def _json_value(value: Any, pad: str) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
+# One node block each, fields in key order, for a non-root node whose
+# id and parent are strings and whose numbers are exact ints.
+_CLIENT_BLOCK = (
+    '    {\n      "bw": %d,\n      "id": %s,\n      "kind": "client",\n      "parent": %s,'
+    '\n      "q": %d,\n      "w": %d\n    }'
+)
+_INTERNAL_BLOCK = '    {\n      "bw": %d,\n      "id": %s,\n      "kind": "internal",\n      "parent": %s\n    }'
+
+
 def serialize_instance(inst: NetworkInstance) -> str:
     """Canonical document text: key-sorted, id-sorted nodes, newline-terminated.
 
     The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
     of the document, written directly from the columns in its fixed key
     order (``bw``, ``id``, ``kind``, ``parent``, ``q``, ``w``) instead of
-    through the encoder's pure-Python indenting path. Strings and ints are
-    written inline; ``_json_value`` writes any other value.
+    through the encoder's pure-Python indenting path. A client or non-root
+    internal node of exact strings and ints is one ``%`` template; any
+    other node is written field by field, strings and ints inline and
+    ``_json_value`` for any other value.
     """
     pad = " " * 6
     enc = encode_basestring_ascii
     blocks = []
     columns = (inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
     for node_id, parent, kind, bw, w, q in zip(*columns):
+        if type(parent) is str and type(node_id) is str and type(bw) is int:
+            if kind is KIND_CLIENT and type(w) is int and type(q) is int:
+                blocks.append(_CLIENT_BLOCK % (bw, enc(node_id), enc(parent), q, w))
+                continue
+            if kind is KIND_INTERNAL and w is None and q is None:
+                blocks.append(_INTERNAL_BLOCK % (bw, enc(node_id), enc(parent)))
+                continue
         block = "    {\n      "
         if bw is not None:
             block += '"bw": ' + (str(bw) if type(bw) is int else _json_value(bw, pad)) + ",\n      "

@@ -277,6 +277,18 @@ def test_gen_fictivize_rejects_hostile_documents(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("demand", [[-3, 1], [2, -4]], ids=["negative-weight", "negative-qos"])
+def test_gen_fictivize_rejects_negative_demand(tmp_path, capsys, demand):
+    doc = {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": "a", "bw": 3, "demand": demand}]}
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gen", "--fictivize", str(net))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "'b'" in err and "_req" not in err
+
+
 def test_gen_fictivize_validates_the_rewritten_instance(tmp_path, capsys):
     # schema-clean, but the rewrite has two roots
     doc = {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": None, "bw": 3, "demand": [1, 1]}]}

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -6,6 +8,9 @@ from treeplace.cli import bench_config
 from treeplace.errors import ConfigError
 from treeplace.generator import (
     DualRoleNetwork,
+    _below,
+    _belows,
+    _shuffle,
     GenConfig,
     fictivize,
     generate,
@@ -46,6 +51,38 @@ def _sha1(texts) -> str:
     for text in texts:
         h.update(text.encode())
     return h.hexdigest()
+
+
+_WIDTHS = range(1, 71)  # powers of two and 2**k + 1 up to 65 among them
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_below_draws_what_random_draws(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for lo in (0, 5):
+        for width in _WIDTHS:
+            assert lo + _below(ours.getrandbits, width) == theirs.randint(lo, lo + width - 1)
+            assert _below(ours.getrandbits, width) == theirs.randrange(width)
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_belows_draws_what_random_draws(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    widths = [*_WIDTHS, *reversed(_WIDTHS), *([1] * 9), *([17] * 9)]
+    assert _belows(ours.getrandbits, iter(widths)) == [theirs.randrange(n) for n in widths]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shuffle_swaps_what_random_swaps(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for length in range(41):
+        mine, stock = list(range(length)), list(range(length))
+        _shuffle(ours.getrandbits, mine)
+        theirs.shuffle(stock)
+        assert mine == stock
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_small_corpus_is_pinned():
@@ -224,3 +261,33 @@ def test_dual_role_document_round_trip():
     back = parse_dual_role(text)
     assert back == net
     assert serialize_dual_role(back) == text
+
+
+def _reference_dual_role_text(net: DualRoleNetwork) -> str:
+    """The document text as the stock encoder writes it."""
+    nodes = [
+        {"id": nid, "parent": net.parents[nid], "bw": net.bandwidth[nid],
+         "demand": list(net.demand[nid]) if nid in net.demand else None}
+        for nid in sorted(net.parents)
+    ]
+    return json.dumps({"capacity": net.capacity, "nodes": nodes}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        generate_dual_role(seed=4, size=40, capacity=9),
+        chain3(),
+        # values no parser has vetted: the writer must still match the encoder
+        DualRoleNetwork(
+            capacity="x",
+            parents={"r\u00e9seau": None, "b\n\"": "r\u00e9seau", "c": 7},
+            bandwidth={"r\u00e9seau": None, "b\n\"": 2.5, "c": True},
+            demand={"b\n\"": [1, False], "c": (3, [4, {"z": 1, "a": None}]), "r\u00e9seau": ()},
+        ),
+        DualRoleNetwork(capacity=3, parents={}, bandwidth={}, demand={}),
+    ],
+    ids=["generated", "chain3", "odd-values", "no-nodes"],
+)
+def test_dual_role_text_matches_stock_encoder(net):
+    assert serialize_dual_role(net) == _reference_dual_role_text(net)

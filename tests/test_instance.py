@@ -206,8 +206,21 @@ def _reference_serialization(inst):
         instance_of("x", (NodeSpec("a", None, "internal", bw=2.5),)),
         instance_of(True, (NodeSpec("a", 7, "client", w=False, q=[1, {"z": 2, "b": None}]),)),
         instance_of(3, ()),
+        # the edges of the one-template-per-node path
+        instance_of(9, (
+            NodeSpec("r", None, "internal"),
+            NodeSpec("a", "r", "client", bw=True, w=1, q=2),
+            NodeSpec("b", "r", "client", bw=3, w=False, q=2),
+            NodeSpec("c", "r", "client", bw=3, w=1, q=True),
+        )),
+        instance_of(9, (NodeSpec("r", None, "internal"), NodeSpec("s", "r", "internal", bw=4, w=0))),
+        instance_of(9, (NodeSpec("r", None, "internal", bw=5), NodeSpec("c", "r", "client", bw=3, w=1, q=2))),
+        instance_of(9, (NodeSpec("r", None, "internal"), NodeSpec("t", None, "internal"))),
+        instance_of(9, (NodeSpec("r", None, "internal"),
+                        NodeSpec("c", "r", "".join(["cli", "ent"]), bw=3, w=1, q=2))),
     ],
-    ids=["non-ascii", "string-capacity", "odd-values", "no-nodes"],
+    ids=["non-ascii", "string-capacity", "odd-values", "no-nodes", "bool-fields",
+         "internal-with-w", "root-with-bw", "two-roots", "equal-kind-string"],
 )
 def test_serialize_matches_stock_encoder(inst):
     assert serialize_instance(inst) == _reference_serialization(inst)
