@@ -8,10 +8,10 @@ from treeplace.cli import bench_config
 from treeplace.errors import ConfigError
 from treeplace.generator import (
     DualRoleNetwork,
+    GenConfig,
     _below,
     _belows,
     _shuffle,
-    GenConfig,
     fictivize,
     generate,
     generate_dual_role,
