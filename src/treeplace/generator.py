@@ -19,12 +19,13 @@ documents those methods gave.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import ConfigError, MalformedDocumentError, StructureError
-from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, _json_value, load_document
+from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, load_document
 
 
 class GenConfig(NamedTuple):
@@ -61,22 +62,14 @@ class GenConfig(NamedTuple):
             raise ConfigError("capacity must be positive")
 
 
-def _below(getrandbits, n: int) -> int:
-    """A value in ``range(n)``, drawn as ``Random._randbelow(n)`` draws it.
+def _belows(getrandbits, widths) -> list[int]:
+    """One value in ``range(n)`` per width ``n``, each drawn as
+    ``Random._randbelow(n)`` draws it.
 
-    ``Random.randint(lo, hi)`` is ``lo + _below(hi - lo + 1)`` and
-    ``randrange(n)`` is ``_below(n)``: one ``n.bit_length()``-bit draw,
+    ``Random.randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)`` and
+    ``randrange(n)`` is ``_randbelow(n)``: one ``n.bit_length()``-bit draw,
     repeated while it is ``>= n``. So ``n == 1`` still takes bits.
     """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _belows(getrandbits, widths) -> list[int]:
-    """``[_below(getrandbits, n) for n in widths]``, without a call per draw."""
     out = []
     for n in widths:
         k = n.bit_length()
@@ -85,6 +78,11 @@ def _belows(getrandbits, widths) -> list[int]:
             r = getrandbits(k)
         out.append(r)
     return out
+
+
+def _below(getrandbits, n: int) -> int:
+    """One value in ``range(n)``, as ``_belows`` draws it."""
+    return _belows(getrandbits, (n,))[0]
 
 
 def _shuffle(getrandbits, x: list) -> None:
@@ -304,25 +302,13 @@ def parse_dual_role(text: str) -> DualRoleNetwork:
 
 
 def serialize_dual_role(net: DualRoleNetwork) -> str:
-    """The document text, id-sorted nodes: exactly what ``json.dumps(doc,
-    indent=2, sort_keys=True) + "\\n"`` writes, with each node's keys in
-    their sorted order (``bw``, ``demand``, ``id``, ``parent``)."""
-    pad = " " * 6
-    blocks = []
-    for nid in sorted(net.parents):
-        pair = net.demand.get(nid)
-        if pair is None:
-            demand = "null"
-        elif len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
-            demand = "[\n        %d,\n        %d\n      ]" % (pair[0], pair[1])
-        else:
-            demand = _json_value(list(pair), pad)
-        blocks.append(
-            '    {\n      "bw": %s,\n      "demand": %s,\n      "id": %s,\n      "parent": %s\n    }'
-            % (_json_value(net.bandwidth[nid], pad), demand, _json_value(nid, pad),
-               _json_value(net.parents[nid], pad))
-        )
-    head = '{\n  "capacity": ' + _json_value(net.capacity, "  ") + ',\n  "nodes": '
-    if not blocks:
-        return head + "[]\n}\n"
-    return head + "[\n" + ",\n".join(blocks) + "\n  ]\n}\n"
+    nodes = [
+        {
+            "id": nid,
+            "parent": net.parents[nid],
+            "bw": net.bandwidth[nid],
+            "demand": list(net.demand[nid]) if nid in net.demand else None,
+        }
+        for nid in sorted(net.parents)
+    ]
+    return json.dumps({"capacity": net.capacity, "nodes": nodes}, indent=2, sort_keys=True) + "\n"

@@ -257,8 +257,7 @@ def serialize_instance(inst: NetworkInstance) -> str:
     order (``bw``, ``id``, ``kind``, ``parent``, ``q``, ``w``) instead of
     through the encoder's pure-Python indenting path. A client or non-root
     internal node of exact strings and ints is one ``%`` template; any
-    other node is written field by field, strings and ints inline and
-    ``_json_value`` for any other value.
+    other node is written field by field through ``_json_value``.
     """
     pad = " " * 6
     enc = encode_basestring_ascii
@@ -274,14 +273,14 @@ def serialize_instance(inst: NetworkInstance) -> str:
                 continue
         block = "    {\n      "
         if bw is not None:
-            block += '"bw": ' + (str(bw) if type(bw) is int else _json_value(bw, pad)) + ",\n      "
-        block += '"id": ' + (enc(node_id) if type(node_id) is str else _json_value(node_id, pad))
-        block += ',\n      "kind": ' + (enc(kind) if type(kind) is str else _json_value(kind, pad))
-        block += ',\n      "parent": ' + (enc(parent) if type(parent) is str else _json_value(parent, pad))
+            block += '"bw": ' + _json_value(bw, pad) + ",\n      "
+        block += '"id": ' + _json_value(node_id, pad)
+        block += ',\n      "kind": ' + _json_value(kind, pad)
+        block += ',\n      "parent": ' + _json_value(parent, pad)
         if q is not None:
-            block += ',\n      "q": ' + (str(q) if type(q) is int else _json_value(q, pad))
+            block += ',\n      "q": ' + _json_value(q, pad)
         if w is not None:
-            block += ',\n      "w": ' + (str(w) if type(w) is int else _json_value(w, pad))
+            block += ',\n      "w": ' + _json_value(w, pad)
         blocks.append(block + "\n    }")
     head = '{\n  "W": ' + _json_value(inst.capacity, "  ") + ',\n  "nodes": '
     if not blocks:
