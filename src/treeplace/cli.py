@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .contribution import run_phase1
 from .errors import (
@@ -31,10 +30,12 @@ from .instance import (
     MODES,
     SHAPES,
     NetworkInstance,
+    json_text,
     load_document,
     parse_instance,
     require_valid,
     serialize_instance,
+    serialized_pieces,
 )
 from .placement import place_replicas, root_workload_check
 from .solver import solve_instance
@@ -60,16 +61,18 @@ def _read_text(path: str) -> str:
         raise MalformedDocumentError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each string of an iterable of pieces in turn."""
+    pieces = [text] if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _dump(doc: dict) -> str:
-    return _text(json.dumps, doc, indent=2, sort_keys=True) + "\n"
+    return _text(json_text, doc) + "\n"
 
 
 def _text(render, *args, **kwargs) -> str:
@@ -135,18 +138,6 @@ def _solve(args: argparse.Namespace) -> int:
         _write_text(args.out, _dump(doc))
         return 2
 
-    # Independent self-check before anything is written, in the mode
-    # solved for: aggregate feasibility implies per-bundle feasibility. A
-    # failure here is a solver defect, not a property of the instance.
-    report = verify_placement(inst, set(out.replicas), mode=args.mode)
-    if not report.feasible:
-        print(
-            "SOLVER DEFECT: solution failed independent verification "
-            f"({args.mode}): {report.violations[0]}",
-            file=sys.stderr,
-        )
-        return 1
-
     doc = {
         "feasible": True,
         "mode": args.mode,
@@ -155,6 +146,19 @@ def _solve(args: argparse.Namespace) -> int:
     }
     if args.trace:
         doc["trace"] = [[node, idx, sorted(placed)] for node, idx, placed in out.trace]
+    del out  # frees the star tree and the tables before the self-check
+
+    # Independent self-check before anything is written, in the mode
+    # solved for: aggregate feasibility implies per-bundle feasibility. A
+    # failure here is a solver defect, not a property of the instance.
+    report = verify_placement(inst, set(doc["replicas"]), mode=args.mode)
+    if not report.feasible:
+        print(
+            "SOLVER DEFECT: solution failed independent verification "
+            f"({args.mode}): {report.violations[0]}",
+            file=sys.stderr,
+        )
+        return 1
     _write_text(args.out, _dump(doc))
     return 0
 
@@ -249,7 +253,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         net = parse_dual_role(_read_text(args.fictivize))
         inst = fictivize(net)
         require_valid(inst)
-        _write_text(args.out, serialize_instance(inst))
+        _write_text(args.out, serialized_pieces(inst))
         return 0
     if args.dual_role:
         net = generate_dual_role(args.seed, args.internal, args.capacity)
@@ -266,7 +270,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         qos_range=args.qos,
         bandwidth_range=args.bandwidth,
     )
-    _write_text(args.out, serialize_instance(generate(cfg)))
+    _write_text(args.out, serialized_pieces(generate(cfg)))
     return 0
 
 

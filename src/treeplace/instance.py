@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, le
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .errors import MalformedDocumentError, RoleError, StructureError
 
@@ -147,48 +147,82 @@ def load_document(text: str, what: str) -> Any:
         raise MalformedDocumentError(f"{what}: {exc}") from None
 
 
-def _columns(raws: list) -> tuple[list, ...]:
-    """The six node columns of a decoded ``nodes`` array, schema-checked.
+# What a node-object hook returns for a node it has taken into the columns.
+_TAKEN = object()
 
-    A message is formatted only for the check that fails. ``type(v) is int``
-    is exactly "a JSON integer" (a bool is not one). Kinds are stored as the
-    module's constants, so the decoded strings are not kept.
+
+def _node_taker(columns: tuple[list, ...], reject):
+    """A function that schema-checks one decoded node object.
+
+    A node that passes has its six fields appended to ``columns`` and the
+    function returns ``_TAKEN``; otherwise it returns ``reject(raw,
+    message)`` for the first check that fails, with nothing appended. A
+    message is formatted only for that check (for unknown fields, only by
+    ``reject``: the message is then a function of ``raw``). ``type(v) is
+    int`` is exactly "a JSON integer" (a bool is not one). Kinds are stored
+    as the module's constants, so the decoded strings are not kept.
     """
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
     ids, parents, kinds, bws, ws, qs = columns
+    add_id, add_parent, add_kind = ids.append, parents.append, kinds.append
+    add_bw, add_w, add_q = bws.append, ws.append, qs.append
+
+    def take(raw: dict):
+        if not raw.keys() <= _NODE_FIELDS:
+            # the document root fails here too, so this message is formatted on demand
+            return reject(raw, _unknown_node_fields)
+        if "id" not in raw or "kind" not in raw:
+            return reject(raw, "node needs 'id' and 'kind'")
+        if "parent" not in raw:
+            return reject(raw, f"node {raw.get('id')!r} needs 'parent'")
+        node_id = raw["id"]
+        if not isinstance(node_id, str) or node_id == "":
+            return reject(raw, "node id must be a non-empty string")
+        parent = raw["parent"]
+        if parent is not None and not isinstance(parent, str):
+            return reject(raw, f"parent of {node_id!r} must be a string or null")
+        kind = raw["kind"]
+        if kind not in (KIND_CLIENT, KIND_INTERNAL):
+            return reject(raw, f"node {node_id!r} has unknown kind {kind!r}")
+        bw = raw.get("bw")
+        if bw is not None and type(bw) is not int:
+            return reject(raw, f"field 'bw' of {node_id!r} must be an integer")
+        w = raw.get("w")
+        if w is not None and type(w) is not int:
+            return reject(raw, f"field 'w' of {node_id!r} must be an integer")
+        q = raw.get("q")
+        if q is not None and type(q) is not int:
+            return reject(raw, f"field 'q' of {node_id!r} must be an integer")
+        add_id(node_id)
+        add_parent(parent)
+        add_kind(KIND_CLIENT if kind == KIND_CLIENT else KIND_INTERNAL)
+        add_bw(bw)
+        add_w(w)
+        add_q(q)
+        return _TAKEN
+
+    return take
+
+
+def _unknown_node_fields(raw: dict) -> str:
+    return f"unknown node fields: {sorted(set(raw) - _NODE_FIELDS)}"
+
+
+def _keep(raw: dict, _message) -> dict:
+    return raw
+
+
+def _raise(raw: dict, message):
+    raise MalformedDocumentError(message if type(message) is str else message(raw))
+
+
+def _columns(raws: list) -> tuple[list, ...]:
+    """The six node columns of a decoded ``nodes`` array, schema-checked."""
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    take = _node_taker(columns, _raise)
     for raw in raws:
         if not isinstance(raw, dict):
             raise MalformedDocumentError("node entries must be objects")
-        if not raw.keys() <= _NODE_FIELDS:
-            raise MalformedDocumentError(f"unknown node fields: {sorted(set(raw) - _NODE_FIELDS)}")
-        if "id" not in raw or "kind" not in raw:
-            raise MalformedDocumentError("node needs 'id' and 'kind'")
-        if "parent" not in raw:
-            raise MalformedDocumentError(f"node {raw.get('id')!r} needs 'parent'")
-        node_id = raw["id"]
-        if not isinstance(node_id, str) or node_id == "":
-            raise MalformedDocumentError("node id must be a non-empty string")
-        parent = raw["parent"]
-        if parent is not None and not isinstance(parent, str):
-            raise MalformedDocumentError(f"parent of {node_id!r} must be a string or null")
-        kind = raw["kind"]
-        if kind not in (KIND_CLIENT, KIND_INTERNAL):
-            raise MalformedDocumentError(f"node {node_id!r} has unknown kind {kind!r}")
-        bw = raw.get("bw")
-        if bw is not None and type(bw) is not int:
-            raise MalformedDocumentError(f"field 'bw' of {node_id!r} must be an integer")
-        w = raw.get("w")
-        if w is not None and type(w) is not int:
-            raise MalformedDocumentError(f"field 'w' of {node_id!r} must be an integer")
-        q = raw.get("q")
-        if q is not None and type(q) is not int:
-            raise MalformedDocumentError(f"field 'q' of {node_id!r} must be an integer")
-        ids.append(node_id)
-        parents.append(parent)
-        kinds.append(KIND_CLIENT if kind == KIND_CLIENT else KIND_INTERNAL)
-        bws.append(bw)
-        ws.append(w)
-        qs.append(q)
+        take(raw)
     return columns
 
 
@@ -199,21 +233,41 @@ def parse_instance(text: str) -> NetworkInstance:
     StructureError for tree-shape problems and RoleError for node-role
     problems. The returned instance always passes validation, and keeps
     that verdict (see ``NetworkInstance.violations``).
+
+    The decoder hands each node object to a hook that takes it into the
+    columns, so no node's dict outlives its decoding. Anything unusual (a
+    syntax error, another root, a node the hook rejects, an object taken
+    outside the ``nodes`` array) decodes the text again with the stock
+    decoder and checks that by the same rules, so every message is the
+    stock path's.
     """
-    doc = load_document(text, "invalid JSON")
-    del text  # frees the document text unless the caller still holds it
-    if not isinstance(doc, dict):
-        raise MalformedDocumentError("document root must be an object")
-    if not doc.keys() <= _TOP_FIELDS:
-        raise MalformedDocumentError(f"unknown document fields: {sorted(set(doc) - _TOP_FIELDS)}")
-    if "W" not in doc or "nodes" not in doc:
-        raise MalformedDocumentError("document needs 'W' and 'nodes'")
-    if type(doc["W"]) is not int:
-        raise MalformedDocumentError("'W' must be an integer")
-    if not isinstance(doc["nodes"], list):
-        raise MalformedDocumentError("'nodes' must be an array")
-    # popped, so that the decoded node objects are freed before validation
-    inst = NetworkInstance(doc["W"], *_columns(doc.pop("nodes")))
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    try:
+        doc = json.JSONDecoder(object_hook=_node_taker(columns, _keep)).decode(text)
+    except (ValueError, RecursionError):  # a syntax or digit-limit error, or deep nesting
+        doc = None
+    if not (
+        type(doc) is dict
+        and doc.keys() == _TOP_FIELDS
+        and type(doc["W"]) is int
+        and type(doc["nodes"]) is list
+        and len(doc["nodes"]) == doc["nodes"].count(_TAKEN) == len(columns[0])
+    ):
+        doc = load_document(text, "invalid JSON")
+        if not isinstance(doc, dict):
+            raise MalformedDocumentError("document root must be an object")
+        if not doc.keys() <= _TOP_FIELDS:
+            raise MalformedDocumentError(f"unknown document fields: {sorted(set(doc) - _TOP_FIELDS)}")
+        if "W" not in doc or "nodes" not in doc:
+            raise MalformedDocumentError("document needs 'W' and 'nodes'")
+        if type(doc["W"]) is not int:
+            raise MalformedDocumentError("'W' must be an integer")
+        if not isinstance(doc["nodes"], list):
+            raise MalformedDocumentError("'nodes' must be an array")
+        columns = _columns(doc["nodes"])
+    capacity = doc["W"]
+    del text, doc  # frees the text and any decoded node objects before validation
+    inst = NetworkInstance(capacity, *columns)
     require_valid(inst)
     return inst
 
@@ -227,16 +281,36 @@ def require_valid(inst: NetworkInstance) -> None:
         raise exc("; ".join(str(v) for v in violations))
 
 
-def _json_value(value: Any, pad: str) -> str:
-    """``value`` as the indented, key-sorted encoder writes it at indent ``pad``."""
-    if type(value) is str:
+def json_text(value: Any, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written at indent ``pad``.
+
+    Dicts with string keys, lists, tuples, strings, ints, bools and None
+    are written here, byte for byte as the standard library's pure-Python
+    indenting encoder writes them; anything else (a float, a subclass, a
+    dict with other keys) goes through the encoder itself, re-indented.
+    """
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    if type(value) is int:
+    if kind is int:
         return int.__repr__(value)
     if value is None:
         return "null"
-    # Anything else (a bool, a float, a value no validation has vetted):
-    # the encoder itself, re-indented to where the value sits.
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        enc = encode_basestring_ascii
+        items = [enc(key) + ": " + json_text(value[key], inner) for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
@@ -248,22 +322,20 @@ _CLIENT_BLOCK = (
 )
 _INTERNAL_BLOCK = '    {\n      "bw": %d,\n      "id": %s,\n      "kind": "internal",\n      "parent": %s\n    }'
 
+# Nodes per piece when a document is written in pieces.
+WRITE_SLICE_NODES = 2048
 
-def serialize_instance(inst: NetworkInstance) -> str:
-    """Canonical document text: key-sorted, id-sorted nodes, newline-terminated.
 
-    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
-    of the document, written directly from the columns in its fixed key
-    order (``bw``, ``id``, ``kind``, ``parent``, ``q``, ``w``) instead of
-    through the encoder's pure-Python indenting path. A client or non-root
-    internal node of exact strings and ints is one ``%`` template; any
-    other node is written field by field through ``_json_value``.
-    """
+def _node_blocks(rows: Iterator[tuple]) -> list[str]:
+    """The text blocks of the nodes in ``rows``, ``(id, parent, kind, bw,
+    w, q)`` each, in the document's fixed key order (``bw``, ``id``,
+    ``kind``, ``parent``, ``q``, ``w``). A client or non-root internal node
+    of exact strings and ints is one ``%`` template; any other node is
+    written field by field through :func:`json_text`."""
     pad = " " * 6
     enc = encode_basestring_ascii
     blocks = []
-    columns = (inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
-    for node_id, parent, kind, bw, w, q in zip(*columns):
+    for node_id, parent, kind, bw, w, q in rows:
         if type(parent) is str and type(node_id) is str and type(bw) is int:
             if kind is KIND_CLIENT and type(w) is int and type(q) is int:
                 blocks.append(_CLIENT_BLOCK % (bw, enc(node_id), enc(parent), q, w))
@@ -273,21 +345,48 @@ def serialize_instance(inst: NetworkInstance) -> str:
                 continue
         block = "    {\n      "
         if bw is not None:
-            block += '"bw": ' + _json_value(bw, pad) + ",\n      "
-        block += '"id": ' + _json_value(node_id, pad)
-        block += ',\n      "kind": ' + _json_value(kind, pad)
-        block += ',\n      "parent": ' + _json_value(parent, pad)
+            block += '"bw": ' + json_text(bw, pad) + ",\n      "
+        block += '"id": ' + json_text(node_id, pad)
+        block += ',\n      "kind": ' + json_text(kind, pad)
+        block += ',\n      "parent": ' + json_text(parent, pad)
         if q is not None:
-            block += ',\n      "q": ' + _json_value(q, pad)
+            block += ',\n      "q": ' + json_text(q, pad)
         if w is not None:
-            block += ',\n      "w": ' + _json_value(w, pad)
+            block += ',\n      "w": ' + json_text(w, pad)
         blocks.append(block + "\n    }")
-    head = '{\n  "W": ' + _json_value(inst.capacity, "  ") + ',\n  "nodes": '
-    if not blocks:
-        return head + "[]\n}\n"
-    blocks[0] = head + "[\n" + blocks[0]  # so that one join writes the whole text
-    blocks[-1] += "\n  ]\n}\n"
-    return ",\n".join(blocks)
+    return blocks
+
+
+def serialized_pieces(inst: NetworkInstance, size: int = WRITE_SLICE_NODES) -> Iterator[str]:
+    """The text of :func:`serialize_instance` in consecutive pieces, each
+    formatted when asked for and holding the blocks of at most ``size``
+    nodes, so that a writer holds one piece at a time."""
+    n = len(inst.ids)
+    head = '{\n  "W": ' + json_text(inst.capacity, "  ") + ',\n  "nodes": '
+    if not n:
+        yield head + "[]\n}\n"
+        return
+    rows = zip(inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
+    lead = head + "[\n"
+    for start in range(0, n, size):
+        blocks = _node_blocks(islice(rows, size))
+        blocks[0] = lead + blocks[0]  # so that one join writes the whole piece
+        lead = ",\n"
+        if start + size >= n:
+            blocks[-1] += "\n  ]\n}\n"
+        yield ",\n".join(blocks)
+
+
+def serialize_instance(inst: NetworkInstance) -> str:
+    """Canonical document text: key-sorted, id-sorted nodes, newline-terminated.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
+    of the document, written directly from the columns instead of through
+    the encoder's pure-Python indenting path, as one piece of
+    :func:`serialized_pieces`.
+    """
+    (text,) = serialized_pieces(inst, max(len(inst.ids), 1))
+    return text
 
 
 def validate_instance(inst: NetworkInstance) -> list[Violation]:
@@ -306,7 +405,7 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
 
     ids, parents, index, ups = inst.ids, inst.parents, inst.index, inst.parent_index
     duplicates = len(index) != len(ids)
-    if duplicates or not RESERVED_NODE_IDS.isdisjoint(index):
+    if duplicates or any(node_id in index for node_id in RESERVED_NODE_IDS):
         seen: set[str] = set()
         for node_id in ids:
             if node_id in seen:

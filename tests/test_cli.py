@@ -173,6 +173,29 @@ def test_solve_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled
     assert after_solve is enabled and after_error is enabled
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_solve_frees_the_star_tree_before_the_self_check(capsys, monkeypatch, trace):
+    import weakref
+
+    stars, alive = [], []
+    transform, verify = solver.transform_to_star, cli.verify_placement
+
+    def keeping(inst):
+        star = transform(inst)
+        stars.append(weakref.ref(star))
+        return star
+
+    def checking(*args, **kwargs):
+        alive.append(stars[-1]() is not None)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "transform_to_star", keeping)
+    monkeypatch.setattr(cli, "verify_placement", checking)
+    code, out, _ = run(capsys, "solve", SHARED, *(["--trace"] if trace else []))
+    assert code == 0 and ('"trace"' in out) is trace
+    assert alive == [False]
+
+
 def test_verify_rejects_bad_set(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"replicas": []}))
@@ -239,6 +262,37 @@ def test_gen_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_writes_the_whole_text_in_pieces(tmp_path, capsys, monkeypatch):
+    """``gen`` and ``gen --fictivize`` write, one piece of nodes at a time,
+    exactly the text ``serialize_instance`` gives, to a file and to stdout."""
+    from treeplace.generator import GenConfig, fictivize, generate, parse_dual_role
+    from treeplace.instance import serialize_instance
+
+    pieces = []
+    real = cli.serialized_pieces
+
+    def counted(inst):
+        for piece in real(inst, 7):
+            pieces.append(piece)
+            yield piece
+
+    monkeypatch.setattr(cli, "serialized_pieces", counted)
+    argv = ["gen", "--seed", "4", "--internal", "12", "--clients", "20", "--shape", "balanced"]
+    want = serialize_instance(generate(GenConfig(seed=4, internal=12, clients=20, capacity=20, shape="balanced")))
+    path = tmp_path / "inst.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == want
+    assert len(pieces) == -(-32 // 7)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want
+
+    net = tmp_path / "net.json"
+    assert main(["gen", "--dual-role", "--seed", "5", "--internal", "9", "--out", str(net)]) == 0
+    code, out, _ = run(capsys, "gen", "--fictivize", str(net))
+    assert code == 0
+    assert out == serialize_instance(fictivize(parse_dual_role(net.read_text(encoding="utf-8"))))
 
 
 def test_gen_dual_role_and_fictivize(tmp_path, capsys):

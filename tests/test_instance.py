@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from treeplace.instance import (
     KIND_INTERNAL,
     MODES,
     NodeSpec,
+    json_text,
     parse_instance,
     require_valid,
     serialize_instance,
+    serialized_pieces,
     validate_instance,
 )
 from treeplace.solver import solve_instance
@@ -386,3 +389,139 @@ def test_solve_verify_and_write_build_no_nodespec_views(tmp_path, capsys, mode):
     capsys.readouterr()
     assert code == 0
     assert "nodes" not in vars(parsed[0])
+
+
+# --- the node-at-a-time reader and writer -----------------------------------
+
+
+def _instances_of_every_size():
+    specs = [NodeSpec("r", None, "internal")]
+    specs += [NodeSpec(f"c{k}", "r", "client", bw=3, w=1, q=2) for k in range(8)]
+    odd = NodeSpec("x", "r", "client", bw=2.5, w=True, q=[1])  # written field by field
+    yield from (instance_of(7, specs[:n]) for n in (0, 1, 2, 9))
+    yield instance_of(7, specs[:1] + [odd])
+    yield generate(GenConfig(seed=8, internal=40, clients=70, capacity=30, shape="random"))
+
+
+def test_pieces_join_to_the_whole_text():
+    for inst in _instances_of_every_size():
+        text = serialize_instance(inst)
+        n = len(inst.ids)
+        for size in {1, 2, max(n - 1, 1), max(n, 1), n + 1}:
+            pieces = list(serialized_pieces(inst, size))
+            assert "".join(pieces) == text
+            assert len(pieces) == max(1, -(-n // size))
+
+
+def _stock_parse(text):
+    """The capacity and the columns, as the stock decoder and the schema check give them."""
+    doc = json.loads(text)
+    inst = instance_module.NetworkInstance(doc["W"], *instance_module._columns(doc["nodes"]))
+    return inst.capacity, (inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
+
+
+def _parsed(inst):
+    return inst.capacity, (inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
+
+
+def test_parse_gives_the_columns_of_the_stock_decoder(worked_example, shared_link):
+    texts = [serialize_instance(worked_example), serialize_instance(shared_link)]
+    texts += [serialize_instance(generate(small_corpus_config(seed))) for seed in range(20)]
+    doc = json.loads(texts[0])
+    doc["nodes"].reverse()  # unsorted input
+    texts.append(json.dumps(doc))
+    for text in texts:
+        inst = parse_instance(text)
+        assert _parsed(inst) == _stock_parse(text)
+        assert all(kind is KIND_CLIENT or kind is KIND_INTERNAL for kind in inst.kinds)
+
+
+_NODE = {"id": "a", "parent": None, "kind": "internal"}
+_ROOTED = '{"id": "r", "parent": null, "kind": "internal"}'
+_CLIENT = '{"id": "c", "parent": "r", "kind": "client", "bw": 1, "w": 1, "q": 1}'
+
+
+def _with(path, value):
+    d = doc()
+    *steps, last = path
+    where = d
+    for step in steps:
+        where = where[step]
+    where[last] = value
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_with(["W"], _NODE), "'W' must be an integer"),
+        (_with(["nodes", 1, "kind"], _NODE),
+         "node 'c' has unknown kind {'id': 'a', 'parent': None, 'kind': 'internal'}"),
+        (_with(["nodes", 1, "id"], _NODE), "node id must be a non-empty string"),
+        (_with(["nodes", 1, "parent"], _NODE), "parent of 'c' must be a string or null"),
+        (json.dumps(_NODE), "unknown document fields: ['id', 'kind', 'parent']"),
+        ('{"W": 3, "nodes": [' + _ROOTED + ", " + _CLIENT + ", x]}",
+         "invalid JSON: Expecting value: line 1 column 140 (char 139)"),
+        ('{"W": 3, "nodes": [' + _ROOTED + ", " + _CLIENT + "]} x",
+         "invalid JSON: Extra data: line 1 column 141 (char 140)"),
+        ('{"W": 3, "nodes": [' + _ROOTED + ", [], " + _CLIENT + "]}", "node entries must be objects"),
+        ('{"W": 3, "nodes": [' + _ROOTED + "], " + '"W": ' + _ROOTED + "}", "'W' must be an integer"),
+        ('{"W": 3, "nodes": [' + _ROOTED + ', {"z": ' + _ROOTED + "}]}", "unknown node fields: ['z']"),
+        ('{"W": 3, "nodes": [' + _ROOTED + '], "x": ' + _ROOTED + "}", "unknown document fields: ['x']"),
+    ],
+    ids=["node-as-W", "node-as-kind", "node-as-id", "node-as-parent", "node-as-document",
+         "syntax-error-after-nodes", "extra-data", "entry-not-an-object", "duplicate-W",
+         "node-in-unknown-field", "node-in-unknown-document-field"],
+)
+def test_hook_specific_malformed_documents_keep_their_message(text, message):
+    with pytest.raises(MalformedDocumentError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the last value of a duplicated key wins, as in the stock decoder
+        '{"W": 3, "nodes": [{"id": "q", "id": "r", "parent": null, "kind": "internal"}, ' + _CLIENT + "]}",
+        '{"W": 3, "nodes": [' + _ROOTED + '], "W": 4, "nodes": [' + _ROOTED + ", " + _CLIENT + "]}",
+        '{"W": 3, "nodes": [], "nodes": [' + _ROOTED + ", " + _CLIENT + "]}",
+        '{"nodes": [' + _ROOTED + ", " + _CLIENT + '], "W": ' + _ROOTED + ', "W": 5}',
+    ],
+    ids=["duplicate-node-key", "duplicate-nodes-array", "empty-then-full-nodes", "node-as-first-W"],
+)
+def test_duplicate_keys_parse_as_the_stock_decoder_reads_them(text):
+    assert _parsed(parse_instance(text)) == _stock_parse(text)
+
+
+def test_parse_peak_is_below_the_stock_decoders():
+    """Each node's dict is freed as it is decoded: parse, columns and
+    validation included, peaks below ``json.loads`` alone."""
+    text = serialize_instance(generate(cli.bench_config(10**4, 8, 7)))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn(text)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    stock, decoded = peak(json.loads)
+    del decoded
+    ours, inst = peak(parse_instance)
+    assert len(inst.ids) == 10_000
+    assert ours < stock
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=16,
+))
+def test_json_text_matches_the_stock_encoder(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert json_text([value], "  ") == json.dumps([value], indent=2, sort_keys=True).replace("\n", "\n  ")
