@@ -19,13 +19,12 @@ documents those methods gave.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import ConfigError, MalformedDocumentError, StructureError
-from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, load_document
+from .instance import KIND_CLIENT, KIND_INTERNAL, SHAPES, NetworkInstance, json_text, load_document
 
 
 class GenConfig(NamedTuple):
@@ -311,4 +310,4 @@ def serialize_dual_role(net: DualRoleNetwork) -> str:
         }
         for nid in sorted(net.parents)
     ]
-    return json.dumps({"capacity": net.capacity, "nodes": nodes}, indent=2, sort_keys=True) + "\n"
+    return json_text({"capacity": net.capacity, "nodes": nodes}) + "\n"

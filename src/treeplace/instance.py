@@ -284,32 +284,34 @@ def require_valid(inst: NetworkInstance) -> None:
 def json_text(value: Any, pad: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, written at indent ``pad``.
 
-    Dicts with string keys, lists, tuples, strings, ints, bools and None
-    are written here, byte for byte as the standard library's pure-Python
-    indenting encoder writes them; anything else (a float, a subclass, a
-    dict with other keys) goes through the encoder itself, re-indented.
+    Strings, None, bools, ints, lists, tuples and dicts with string keys
+    (subclasses included, as the encoder takes them) are written here, in
+    the order and byte for byte as the standard library's pure-Python
+    indenting encoder writes them; anything else (a float, a dict with
+    other keys) goes through the encoder itself, re-indented.
     """
-    kind = type(value)
-    if kind is str:
+    if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
     if value is None:
         return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is list or kind is tuple:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
         items = [json_text(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if kind is dict and all(type(key) is str for key in value):
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         if not value:
             return "{}"
         inner = pad + "  "
         enc = encode_basestring_ascii
-        items = [enc(key) + ": " + json_text(value[key], inner) for key in sorted(value)]
+        items = [enc(key) + ": " + json_text(item, inner) for key, item in sorted(value.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
@@ -405,7 +407,8 @@ def validate_instance(inst: NetworkInstance) -> list[Violation]:
 
     ids, parents, index, ups = inst.ids, inst.parents, inst.index, inst.parent_index
     duplicates = len(index) != len(ids)
-    if duplicates or any(node_id in index for node_id in RESERVED_NODE_IDS):
+    # a view's isdisjoint walks the smaller set: membership of the reserved ids
+    if duplicates or not index.keys().isdisjoint(RESERVED_NODE_IDS):
         seen: set[str] = set()
         for node_id in ids:
             if node_id in seen:

@@ -29,14 +29,13 @@ come back only at output.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import insort
 from functools import cached_property
 from typing import Any, NamedTuple
 
 from .errors import InfeasibleError
-from .instance import ARTIFICIAL_ROOT_ID, KIND_CLIENT, NetworkInstance, require_valid
+from .instance import ARTIFICIAL_ROOT_ID, KIND_CLIENT, NetworkInstance, json_text, require_valid
 
 UNBOUNDED = math.inf  # bandwidth/contribution value that never binds
 
@@ -286,4 +285,4 @@ def star_to_document(star: StarTree) -> str:
             }
         nodes.append(entry)
     doc = {"W": star.capacity, "root_plus": ARTIFICIAL_ROOT_ID, "nodes": nodes}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc) + "\n"

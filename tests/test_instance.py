@@ -525,3 +525,20 @@ def test_parse_peak_is_below_the_stock_decoders():
 def test_json_text_matches_the_stock_encoder(value):
     assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
     assert json_text([value], "  ") == json.dumps([value], indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+class _Word(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Table(dict):
+    pass
+
+
+def test_json_text_writes_subclasses_as_the_stock_encoder_does():
+    value = _Table(b=[NodeSpec("r", None, "internal"), _Word("w\u00e9"), _Count(7)], a=(True, 2.5, {1: 2}))
+    assert json_text(value, "    ") == json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")

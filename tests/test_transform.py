@@ -335,8 +335,9 @@ def test_star_document_uses_null_for_unbounded(worked_example):
     assert by_id["x"]["bw"] is None  # compressed leaves ride a free link
     assert by_id["l"]["bw"] == 4
     assert by_id["x"]["origin"]["clients"] == ["x", "x2"]
-    # stable output
+    # stable output, the stock encoder's bytes
     assert text == star_to_document(transform_to_star(worked_example))
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_single_client_instance():
