@@ -324,7 +324,7 @@ _CLIENT_BLOCK = (
 )
 _INTERNAL_BLOCK = '    {\n      "bw": %d,\n      "id": %s,\n      "kind": "internal",\n      "parent": %s\n    }'
 
-# Nodes per piece when a document is written in pieces.
+# Nodes per piece when a document is written in pieces: about 250 KB of text.
 WRITE_SLICE_NODES = 2048
 
 
@@ -359,24 +359,32 @@ def _node_blocks(rows: Iterator[tuple]) -> list[str]:
     return blocks
 
 
+def _piece(blocks: list[str], lead: str, last: bool) -> str:
+    """Node blocks joined into one piece of the text, after ``lead``, and
+    closing the document if ``last``; one join writes the whole piece."""
+    blocks[0] = lead + blocks[0]
+    if last:
+        blocks[-1] += "\n  ]\n}\n"
+    return ",\n".join(blocks)
+
+
+def _head(inst: NetworkInstance) -> str:
+    return '{\n  "W": ' + json_text(inst.capacity, "  ") + ',\n  "nodes": '
+
+
 def serialized_pieces(inst: NetworkInstance, size: int = WRITE_SLICE_NODES) -> Iterator[str]:
     """The text of :func:`serialize_instance` in consecutive pieces, each
     formatted when asked for and holding the blocks of at most ``size``
     nodes, so that a writer holds one piece at a time."""
     n = len(inst.ids)
-    head = '{\n  "W": ' + json_text(inst.capacity, "  ") + ',\n  "nodes": '
     if not n:
-        yield head + "[]\n}\n"
+        yield _head(inst) + "[]\n}\n"
         return
     rows = zip(inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs)
-    lead = head + "[\n"
+    lead = _head(inst) + "[\n"
     for start in range(0, n, size):
-        blocks = _node_blocks(islice(rows, size))
-        blocks[0] = lead + blocks[0]  # so that one join writes the whole piece
+        yield _piece(_node_blocks(islice(rows, size)), lead, start + size >= n)
         lead = ",\n"
-        if start + size >= n:
-            blocks[-1] += "\n  ]\n}\n"
-        yield ",\n".join(blocks)
 
 
 def serialize_instance(inst: NetworkInstance) -> str:
@@ -384,11 +392,13 @@ def serialize_instance(inst: NetworkInstance) -> str:
 
     The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
     of the document, written directly from the columns instead of through
-    the encoder's pure-Python indenting path, as one piece of
-    :func:`serialized_pieces`.
+    the encoder's pure-Python indenting path; :func:`serialized_pieces`
+    gives the same text in pieces.
     """
-    (text,) = serialized_pieces(inst, max(len(inst.ids), 1))
-    return text
+    blocks = _node_blocks(zip(inst.ids, inst.parents, inst.kinds, inst.bws, inst.ws, inst.qs))
+    if not blocks:
+        return _head(inst) + "[]\n}\n"
+    return _piece(blocks, _head(inst) + "[\n", True)
 
 
 def validate_instance(inst: NetworkInstance) -> list[Violation]:
