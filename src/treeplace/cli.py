@@ -34,11 +34,10 @@ from .instance import (
     load_document,
     parse_instance,
     require_valid,
-    serialize_instance,
+    serialize_instance,  # unused here; perfbench reads and wraps it as cli.serialize_instance
     serialized_pieces,
 )
-from .placement import place_replicas, root_workload_check
-from .solver import solve_instance
+from .solver import Lap, no_lap, solve_instance
 from .transform import star_to_document, transform_to_star
 from .verifier import verify_placement
 
@@ -110,24 +109,25 @@ def _load_replica_list(text: str) -> list[str]:
 # --- subcommand bodies ----------------------------------------------------
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace, lap: Lap = no_lap) -> int:
+    # ``lap`` is told as read, parse, verify, write and solve_instance's stages end.
     # A solve allocates many long-lived small objects and leaves only a few
     # hundred in reference cycles, so the cyclic collector would mostly
     # rescan live data: pause it for the command.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _solve(args)
+        return _solve(args, lap)
     finally:
         if was_enabled:
             gc.enable()
 
 
-def _solve(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read_text(args.instance))
+def _solve(args: argparse.Namespace, lap: Lap) -> int:
+    inst = lap("parse", parse_instance(lap("read", _read_text(args.instance))))
     _mode_notice(args.mode)
     try:
-        out = solve_instance(inst, mode=args.mode)
+        out = solve_instance(inst, mode=args.mode, lap=lap)
     except InfeasibleError as exc:
         doc = {
             "feasible": False,
@@ -151,7 +151,7 @@ def _solve(args: argparse.Namespace) -> int:
     # Independent self-check before anything is written, in the mode
     # solved for: aggregate feasibility implies per-bundle feasibility. A
     # failure here is a solver defect, not a property of the instance.
-    report = verify_placement(inst, set(doc["replicas"]), mode=args.mode)
+    report = lap("verify", verify_placement(inst, set(doc["replicas"]), mode=args.mode))
     if not report.feasible:
         print(
             "SOLVER DEFECT: solution failed independent verification "
@@ -159,7 +159,7 @@ def _solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _write_text(args.out, _dump(doc))
+    lap("write", _write_text(args.out, _dump(doc)))
     return 0
 
 
@@ -366,39 +366,9 @@ def bench_config(n: int, qos: int, seed: int) -> GenConfig:
     )
 
 
-BENCH_STAGES = ("parse", "transform", "phase1", "place", "root_check", "verify", "write")
-
-
-def bench_stages(n: int, qos: int, seed: int = 7) -> tuple[int, list[float]]:
-    """The node count and the seconds of each of ``BENCH_STAGES`` in one
-    solve of a generated ~n-node document, from its text to the written
-    result, with the collector paused as ``solve`` pauses it."""
-    text = serialize_instance(generate(bench_config(n, qos, seed)))
-
-    def lap(value):
-        marks.append(time.perf_counter())
-        return value
-
-    was_enabled = gc.isenabled()
-    gc.disable()
-    marks = [time.perf_counter()]
-    try:
-        inst = lap(parse_instance(text))  # validation included
-        star = lap(transform_to_star(inst))
-        placement = lap(place_replicas(star, lap(run_phase1(star))))
-        lap(root_workload_check(star, placement))
-        lap(verify_placement(inst, set(placement.replicas)))
-        doc = {"feasible": True, "mode": MODE_PER_BUNDLE,
-               "replicas": list(placement.replicas), "count": placement.cardinality}
-        lap(_write_text(os.devnull, _dump(doc)))
-    finally:
-        if was_enabled:
-            gc.enable()
-    return len(inst.ids), [b - a for a, b in zip(marks, marks[1:])]
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     import resource  # only here, so that start-up imports what it did before
+    import tempfile
 
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -412,16 +382,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if min(sizes) < 1:
         print("error: bench sizes must be at least 1", file=sys.stderr)
         return 1
+    marks: list[tuple[str, float]] = []
+
+    def lap(stage, value):
+        marks.append((stage, time.perf_counter()))
+        return value
+
     runs = []
-    for qos in qos_values:
-        for n in sizes:
-            nodes, seconds = bench_stages(n, qos, args.seed)
-            print(f"N={n} L={qos} t={sum(seconds):.3f}s ({nodes} nodes)")
-            ns = [s / nodes * 1e9 for s in seconds]
-            for stage, s, per_node in zip(BENCH_STAGES, seconds, ns):
-                print(f"  {stage:<10} {s:9.4f}s {per_node:9.0f} ns/node")
-            runs.append({"n": n, "qos": qos, "nodes": nodes, "seconds": dict(zip(BENCH_STAGES, seconds)),
-                         "ns_per_node": dict(zip(BENCH_STAGES, ns))})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bench.json")
+        solve_args = build_parser().parse_args(["solve", path, "--out", os.devnull])
+        for qos in qos_values:
+            for n in sizes:
+                inst = generate(bench_config(n, qos, args.seed))
+                nodes = len(inst.ids)
+                _write_text(path, serialized_pieces(inst))
+                del inst  # the solve starts from the file alone, as ``treeplace solve`` does
+                marks[:] = [("", time.perf_counter())]
+                code = cmd_solve(solve_args, lap)
+                if code:
+                    return code
+                seconds = {stage: t - t0 for (_, t0), (stage, t) in zip(marks, marks[1:])}
+                print(f"N={n} L={qos} t={sum(seconds.values()):.3f}s ({nodes} nodes)")
+                ns = {stage: s / nodes * 1e9 for stage, s in seconds.items()}
+                for stage, s in seconds.items():
+                    print(f"  {stage:<10} {s:9.4f}s {ns[stage]:9.0f} ns/node")
+                runs.append({"n": n, "qos": qos, "nodes": nodes, "seconds": seconds, "ns_per_node": ns})
     maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS (ru_maxrss) {maxrss_mib:.1f} MiB")
     if args.json:

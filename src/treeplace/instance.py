@@ -139,12 +139,10 @@ def load_document(text: str, what: str) -> Any:
     """``json.loads(text)``, raising MalformedDocumentError that starts with ``what``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(f"{what}: {exc}") from exc
     except RecursionError:
         raise MalformedDocumentError(f"{what}: arrays or objects nested too deeply") from None
-    except ValueError as exc:  # such as an integer literal past the interpreter's digit limit
-        raise MalformedDocumentError(f"{what}: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
+        raise MalformedDocumentError(f"{what}: {exc}") from exc
 
 
 # What a node-object hook returns for a node it has taken into the columns.

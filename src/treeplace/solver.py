@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from .contribution import run_phase1
 from .instance import MODE_PER_BUNDLE, NetworkInstance
 from .placement import PlacementResult, place_replicas, root_workload_check
 from .transform import transform_to_star
 
+# A stage observer: ``lap(stage, result)`` as each stage ends, returning the
+# result for the pipeline to use. The default records nothing.
+Lap = Callable[[str, Any], Any]
 
-def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE) -> PlacementResult:
+
+def no_lap(stage: str, value: Any) -> Any:
+    return value
+
+
+def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE, lap: Lap = no_lap) -> PlacementResult:
     """Compute a minimum replica set for a validated instance: the
     ``PlacementResult``, which also holds the star tree and the tables.
+    ``lap`` sees the end of each stage: transform, phase1, place and
+    root_check.
 
     Raises InfeasibleError (a domain outcome, not a defect), only from
     the transform's screen, when no replica set can satisfy the
@@ -18,7 +30,7 @@ def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE) -> Placem
     The independent feasibility verifier is intentionally not called
     here; callers wire it as a separate check so the two stay decoupled.
     """
-    star = transform_to_star(inst)
-    placement = place_replicas(star, run_phase1(star, mode=mode))
-    root_workload_check(star, placement)
+    star = lap("transform", transform_to_star(inst))
+    placement = lap("place", place_replicas(star, lap("phase1", run_phase1(star, mode=mode))))
+    lap("root_check", root_workload_check(star, placement))
     return placement

@@ -173,8 +173,16 @@ def test_solve_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled
     assert after_solve is enabled and after_error is enabled
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_solve_frees_the_star_tree_before_the_self_check(capsys, monkeypatch, trace):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("solve", SHARED), id="False"),
+        pytest.param(("solve", SHARED, "--trace"), id="True"),
+        pytest.param(("bench", "--sizes", "40"), id="bench"),
+    ],
+)
+def test_solve_frees_the_star_tree_before_the_self_check(capsys, monkeypatch, argv):
+    """``bench`` times ``solve`` itself, so it frees the tree as ``solve`` does."""
     import weakref
 
     stars, alive = [], []
@@ -191,8 +199,8 @@ def test_solve_frees_the_star_tree_before_the_self_check(capsys, monkeypatch, tr
 
     monkeypatch.setattr(solver, "transform_to_star", keeping)
     monkeypatch.setattr(cli, "verify_placement", checking)
-    code, out, _ = run(capsys, "solve", SHARED, *(["--trace"] if trace else []))
-    assert code == 0 and ('"trace"' in out) is trace
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and ('"trace"' in out) is ("--trace" in argv)
     assert alive == [False]
 
 
@@ -533,6 +541,31 @@ def test_gen_and_bench_call_the_module_global_generate():
         "print(codes, calls)"
     )
     assert fresh_interpreter(probe).splitlines()[-1] == "[0, 0] [3, 5]"
+
+
+def test_bench_times_the_solve_pipeline(tmp_path):
+    """``bench`` runs ``treeplace solve``: a tracer's wrappers of
+    ``cli.solve_instance`` and ``cli.verify_placement`` see one call each
+    per document, and the stages come in pipeline order."""
+    path = tmp_path / "bench.json"
+    probe = (
+        "import treeplace.cli as c; calls = []\n"
+        "def wrap(name, fn):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls.append(name)\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "c.solve_instance = wrap('solve', c.solve_instance)\n"
+        "c.verify_placement = wrap('verify', c.verify_placement)\n"
+        f"code = c.main(['bench', '--sizes', '40', '--json', {str(path)!r}])\n"
+        "print(code, calls)"
+    )
+    out = fresh_interpreter(probe).splitlines()
+    assert out[-1] == "0 ['solve', 'verify']"
+    stages = [line.split()[0] for line in out if line.startswith("  ")]
+    assert stages == ["read", "parse", "transform", "phase1", "place", "root_check", "verify", "write"]
+    (run_doc,) = json.loads(path.read_text())["runs"]
+    assert sorted(run_doc["seconds"]) == sorted(run_doc["ns_per_node"]) == sorted(stages)
 
 
 def test_compare_bad_seed_spec(capsys):
