@@ -138,6 +138,17 @@ def test_inspect_matches_stored_text(capsys, fixture, mode):
 
 
 @pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+def test_inspect_of_a_random_300_node_document_matches_stored_text(capsys, mode):
+    """Tables of a generated tree (``gen --seed 2 --internal 120 --clients 180
+    --capacity 30 --shape random --weights 0:5 --qos 1:8 --bandwidth 5:14``),
+    pinned byte for byte: mixed qos and narrow links give rows that change
+    past index 1 and many infinite rows, whose equip sets are printed too."""
+    code, out, _ = run(capsys, "inspect", str(GOLDEN / "random300.json"), "--mode", mode)
+    assert code == 0
+    assert out == (GOLDEN / f"inspect.random300.{mode}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
 @pytest.mark.parametrize("fixture", ["worked_example", "shared_link"])
 def test_solve_trace_matches_stored_text(capsys, fixture, mode):
     """The solution with its placement trace, pinned byte for byte."""
