@@ -29,6 +29,13 @@ row ``i >= 1`` only where one of those changes; memory stays within
 N * (L + 2) cells and the greedy runs only on rows whose inputs changed.
 Each computed row is one call of the greedy kernel ``equip_row`` on the
 node's children as parallel lists (keys, values, eligibility).
+
+Children's values never fall as ``i`` grows and the bound never rises,
+so the greedy's equip count never falls: once a row is ``inf``, every
+later row is. Phase 1 stores an internal node's rows up to its first
+``inf`` row and no further, and decides most such rows without the
+greedy (see ``_internal_rows``). Placement reads no ``inf`` row;
+``ContributionTable.table`` re-derives the rest with the same row loop.
 """
 
 from __future__ import annotations
@@ -103,13 +110,19 @@ class ContributionTable:
     ``segments[v]`` lists ``(j, c, e)`` for ``j = 0`` and every later row
     index where node ``v``'s row differs from row ``j - 1``; ``e`` holds
     child indices. Row ``i`` is the last segment starting at or before
-    ``i``. ``table``, the one id-keyed reader, builds its rows on each call.
+    ``i``. An internal node's list ends at its first infinite row, stored
+    as ``(j, inf, ())``: every later row is infinite too, so the ``c``
+    values are exact everywhere, but the equip sets of the infinite rows
+    are not kept. ``table``, the one id-keyed reader, builds its rows on
+    each call and re-derives such a node's rows without the stop, with the
+    path bounds (aggregate mode) that phase 1 used.
     """
 
-    def __init__(self, star: StarTree, segments: list, m_values: list[int]):
+    def __init__(self, star: StarTree, segments: list, m_values: list[int], bounds: list | None):
         self.star = star
         self.segments = segments
         self._m = m_values
+        self._bounds = bounds
         self.min_replica_count: int = m_values[star.root]
 
     def nodes(self) -> tuple[str, ...]:
@@ -122,6 +135,8 @@ class ContributionTable:
         v = star.index[node]
         depth = star.depths[v]
         segs = self.segments[v]
+        if segs[-1][1] == INFINITE and star.weights[v] is None:
+            ((_, segs),) = _internal_rows(star, self.segments, (v,), self._bounds, stop=False)
         ends = [seg[0] for seg in segs[1:]] + [min(depth, star.max_leaf_qos + 1) + 1]
         c_row: list = []
         e_row: list = []
@@ -158,60 +173,35 @@ def _path_bounds(star: StarTree, limit: int) -> list:
     return out
 
 
-def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable:
-    """Fill every node's contribution rows bottom-up.
+def _internal_rows(star: StarTree, segments: list, nodes, bounds: list | None, stop: bool):
+    """Yield ``(v, change points)`` for each internal node ``v`` of ``nodes``.
+
+    ``v``'s children's ``segments`` must be in place when ``v`` comes up;
+    only their ``c`` values are read. ``bounds`` holds ``_path_bounds``
+    (aggregate mode) or None. Row 0 is computed in full. Row ``i >= 1`` is
+    the same function of the children's values at ``i + 1`` and the bound
+    as row ``i - 1`` is of theirs at ``i`` (row 0 sets the equip-set size
+    that later rows must keep), so it is computed only where some child's
+    contribution changes at ``i + 1`` or the bound drops at ``i``, and is
+    listed only where it differs from row ``i - 1``.
+
+    With ``stop`` the list ends at the first infinite row, stored as
+    ``(i, inf, ())``; every later row is infinite too (module doc). Every
+    child that is infinite at ``i + 1`` must be equipped, so the row is
+    known infinite without the greedy when more children are infinite than
+    row 0 equips, or when one of them is ineligible.
 
     Raises ContractViolationError, naming the node, when a row 0 comes
     back infinite: on a transformed tree every eligible child can be
     equipped and what is left, a merged bundle, weighs at most W.
-
-    In aggregate mode the greedy bound at ``(v, i)`` is the capacity
-    capped by the smallest bandwidth on the i-edge path above ``v``,
-    which makes the residual respect summed link flows. This is an
-    extension without optimality guarantees.
-
-    Row 0 of an internal node is computed in full. Row ``i >= 1`` is the
-    same function of the children's values at ``i + 1`` and the bound as
-    row ``i - 1`` is of theirs at ``i`` (row 0 sets the equip-set size
-    that later rows must keep), so it is computed only
-    where some child's contribution changes at ``i + 1`` or the bound
-    drops at ``i``, and is stored only where it differs from row ``i - 1``.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     capacity = star.capacity
     limit = star.max_leaf_qos + 1
-    ids = star.ids
-    parents = star.parents
-    bws = star.bws
-    weights = star.weights
-    qoses = star.qoses
-    eligible = star.eligibles
     kids = star.kids
+    eligible = star.eligibles
     depths = star.depths
-    path_bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
-
-    segments: list = [None] * len(ids)
-    m_values = [0] * len(ids)
-    for v in reversed(star.preorder):
+    for v in nodes:
         rows = min(depths[v], limit)
-        weight = weights[v]
-        if weight is not None:
-            # A leaf's row is its weight up to the first hop past the qos or
-            # through a link narrower than the weight, infinite from there
-            # on; zero-demand bundles contribute 0 throughout.
-            segments[v] = [(0, weight, ())]
-            if weight:
-                reach = min(rows, qoses[v])
-                walker = v
-                cut = 1
-                while cut <= reach and bws[walker] >= weight:
-                    walker = parents[walker]
-                    cut += 1
-                if cut <= rows:
-                    segments[v].append((cut, INFINITE, ()))
-            continue
-
         below = kids[v]
         elig = [eligible[k] for k in below]
         current: list = []  # child values at index 0, at i + 1 once row i's changes are in
@@ -232,24 +222,84 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
 
         last_e, last_c = equip_row(below, current, elig, capacity)
         if last_c == INFINITE:
-            raise ContractViolationError(f"phase 1 left row 0 of {ids[v]!r} infinite")
+            raise ContractViolationError(f"phase 1 left row 0 of {star.ids[v]!r} infinite")
         e0_size = len(last_e)
-        m_values[v] = sum(m_values[k] for k in below) + e0_size
         segs = [(0, last_c, last_e)]
-        if path_bounds is not None:
-            for i, b in path_bounds[v]:
+        if bounds is not None:
+            for i, b in bounds[v]:
                 changes.setdefault(i, []).append((-1, b))
         bound = capacity
+        infinite = current.count(INFINITE)  # all eligible and equipped, as row 0 is finite
+        blocked = False  # an ineligible child is infinite
         for i in sorted(changes):
             for pos, val in changes[i]:
                 if pos < 0:
                     bound = val
                 else:
                     current[pos] = val
-            e, c = equip_row(below, current, elig, bound, e0_size)
+                    if val == INFINITE:  # a change, so the value was finite before
+                        infinite += 1
+                        blocked = blocked or not elig[pos]
+            if stop and (blocked or infinite > e0_size):
+                c = INFINITE
+            else:
+                e, c = equip_row(below, current, elig, bound, e0_size)
+            if stop and c == INFINITE:  # row i - 1 was finite
+                segs.append((i, INFINITE, ()))
+                break
             if c != last_c or e != last_e:
                 segs.append((i, c, e))
                 last_e, last_c = e, c
-        segments[v] = segs
+        yield v, segs
 
-    return ContributionTable(star, segments, m_values)
+
+def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable:
+    """Fill every node's contribution rows bottom-up.
+
+    The leaves, then the internal nodes, children before parents, each up
+    to its first infinite row; ``_internal_rows`` raises
+    ContractViolationError, naming the node, on an infinite row 0.
+
+    In aggregate mode the greedy bound at ``(v, i)`` is the capacity
+    capped by the smallest bandwidth on the i-edge path above ``v``,
+    which makes the residual respect summed link flows. This is an
+    extension without optimality guarantees.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    limit = star.max_leaf_qos + 1
+    parents = star.parents
+    bws = star.bws
+    weights = star.weights
+    qoses = star.qoses
+    kids = star.kids
+    depths = star.depths
+    bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
+
+    segments: list = [None] * len(weights)
+    internal: list[int] = []  # children before parents
+    for v in reversed(star.preorder):
+        weight = weights[v]
+        if weight is None:
+            internal.append(v)
+            continue
+        # A leaf's row is its weight up to the first hop past the qos or
+        # through a link narrower than the weight, infinite from there on;
+        # zero-demand bundles contribute 0 throughout.
+        segments[v] = [(0, weight, ())]
+        if weight:
+            rows = min(depths[v], limit)
+            reach = min(rows, qoses[v])
+            walker = v
+            cut = 1
+            while cut <= reach and bws[walker] >= weight:
+                walker = parents[walker]
+                cut += 1
+            if cut <= rows:
+                segments[v].append((cut, INFINITE, ()))
+
+    m_values = [0] * len(weights)
+    for v, segs in _internal_rows(star, segments, internal, bounds, stop=True):
+        segments[v] = segs
+        m_values[v] = sum([m_values[k] for k in kids[v]]) + len(segs[0][2])
+    return ContributionTable(star, segments, m_values, bounds)

@@ -7,6 +7,9 @@ child: equipped children restart at index 0, the rest carry ``i + 1``
 an explicit stack over star indices so degenerate path trees of depth
 1e5 are fine. The walk reads the tables' change-point segments directly
 and records no visits; ``PlacementResult.trace`` re-runs it on first read.
+It never reads an infinite row, so phase 1 need not keep them: it starts
+at the root's finite row 0, and a finite row ``(v, i)`` leaves each child
+it does not equip a finite value, hence a finite row, at ``i + 1``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeplace import contribution
@@ -15,7 +15,7 @@ from treeplace.contribution import (
     run_phase1,
 )
 from treeplace.errors import ContractViolationError, InfeasibleError
-from treeplace.generator import SHAPES, GenConfig, generate
+from treeplace.generator import SHAPES, GenConfig, generate, small_corpus_config
 from treeplace.instance import parse_instance
 from treeplace.transform import StarLeaf, transform_to_star
 from tests.reference import (
@@ -149,6 +149,23 @@ def test_greedy_properties(items, bound):
     # a deeper row keeps c only at row 0's equip-set size
     assert equip_row(keys, values, elig, bound, len(selected)) == (selected, residual)
     assert equip_row(keys, values, elig, bound, len(selected) + 1) == (selected, INF)
+
+
+@given(
+    items=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.just(INF)), st.booleans()), max_size=10),
+    bound=st.integers(0, 60),
+    e0_size=st.integers(0, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_known_infinite_without_the_greedy(items, bound, e0_size):
+    """Every infinite child must be equipped, so a deeper row is infinite
+    when more children are infinite than row 0 equipped, or when one of
+    them is ineligible: the test phase 1 makes before calling the kernel."""
+    values = [c for c, _e in items]
+    elig = [e for _c, e in items]
+    infinite = [e for c, e in items if c == INF]
+    assume(len(infinite) > e0_size or not all(infinite))
+    assert equip_row(list(range(len(items))), values, elig, bound, e0_size)[1] == INF
 
 
 # --- unit: internal-node row ----------------------------------------------
@@ -387,3 +404,49 @@ def test_stored_rows_equal_the_kernel_on_clamped_child_values(shape, mode):
                 if i >= 2 and (got.c_row[i], got.e_row[i]) != (got.c_row[i - 1], got.e_row[i - 1]):
                     changed += 1
     assert checked > 1000 and changed > 100, (checked, changed)
+
+
+def _rows_past_the_stop(star, mode):
+    """Check phase 1's stored rows against ``table``'s, which run on past
+    each internal node's first infinite row: the finite change points are
+    ``table``'s rows, and only the last one may be infinite, with every
+    row after it infinite too. Returns how many rows lie past the stops."""
+    table = run_phase1(star, mode=mode)
+    ids = star.ids
+    past = 0
+    for v in star.preorder:
+        if star.weights[v] is not None:
+            continue
+        full = table.table(ids[v])
+        segs = table.segments[v]
+        ends = [seg[0] for seg in segs[1:]] + [len(full.c_row)]
+        for n, ((start, c, e), end) in enumerate(zip(segs, ends)):
+            if c == INF:
+                assert n == len(segs) - 1 and n > 0, (ids[v], segs)
+                assert set(full.c_row[start:]) == {INF}, ids[v]
+                past += len(full.c_row) - start - 1
+            else:
+                assert full.c_row[start:end] == (c,) * (end - start), ids[v]
+                assert full.e_row[start:end] == (tuple(ids[k] for k in e),) * (end - start), ids[v]
+    return past
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_phase1_stops_only_where_every_later_row_is_infinite(mode):
+    """The stop's lemma, on the oracle corpus (seeds 0-499) and on
+    generated 10^3-node trees of each shape with mixed qos and narrow
+    links."""
+    past = 0
+    for seed in range(500):
+        try:
+            star = transform_to_star(generate(small_corpus_config(seed)))
+        except InfeasibleError:
+            continue
+        past += _rows_past_the_stop(star, mode)
+    for seed in range(6):
+        inst = generate(
+            GenConfig(seed=seed, internal=400, clients=600, capacity=30, shape=SHAPES[seed % 3],
+                      weight_range=(0, 5), qos_range=(1, 10), bandwidth_range=(5, 20))
+        )
+        past += _rows_past_the_stop(transform_to_star(inst), mode)
+    assert past > 1000, past
