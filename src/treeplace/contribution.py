@@ -41,7 +41,7 @@ greedy (see ``_internal_rows``). Placement reads no ``inf`` row;
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolationError
 from .instance import MODE_AGGREGATE, MODE_PER_BUNDLE, MODES
@@ -173,7 +173,9 @@ def _path_bounds(star: StarTree, limit: int) -> list:
     return out
 
 
-def _internal_rows(star: StarTree, segments: list, nodes, bounds: list | None, stop: bool):
+def _internal_rows(
+    star: StarTree, segments: list, nodes: Iterable[int], bounds: list | None, stop: bool
+) -> Iterator[tuple[int, list]]:
     """Yield ``(v, change points)`` for each internal node ``v`` of ``nodes``.
 
     ``v``'s children's ``segments`` must be in place when ``v`` comes up;
