@@ -141,11 +141,11 @@ def _solve(args: argparse.Namespace, lap: Lap) -> int:
     doc = {
         "feasible": True,
         "mode": args.mode,
-        "replicas": sorted(out.replicas),
+        "replicas": out.replicas,
         "count": out.cardinality,
     }
     if args.trace:
-        doc["trace"] = [[node, idx, sorted(placed)] for node, idx, placed in out.trace]
+        doc["trace"] = out.trace
     del out  # frees the star tree and the tables before the self-check
 
     # Independent self-check before anything is written, in the mode
@@ -253,6 +253,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         net = parse_dual_role(_read_text(args.fictivize))
         inst = fictivize(net)
         require_valid(inst)
+        # a stand-in client's link (the summed demand) or q + 1 may be past the digit limit for text
+        _text(str, max(filter(None, inst.bws + inst.qs)))
         _write_text(args.out, serialized_pieces(inst))
         return 0
     if args.dual_role:
@@ -287,13 +289,13 @@ def _fmt(value) -> str:
     return str(int(value))
 
 
-def _render_tables(star, table) -> str:
+def _render_tables(table) -> str:
     """Two fixed-width tables: leaf contributions, then internal rows C/e/m."""
     lines: list[str] = []
-    depth = star.depth
+    depth = table.star.depth
     rows = {n: table.table(n) for n in table.nodes()}
 
-    leaf_ids = sorted(node.id for node in star.leaves)
+    leaf_ids = sorted(node.id for node in table.star.leaves)
     if leaf_ids:
         c_rows = [rows[n].c_row for n in leaf_ids]
         grid = [["i"] + leaf_ids] + _grid_rows("{}", c_rows, max(map(len, c_rows)), _fmt)
@@ -333,9 +335,8 @@ def _layout(grid: list[list[str]]) -> str:
 def cmd_inspect(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
     _mode_notice(args.mode)
-    star = transform_to_star(inst)
-    table = run_phase1(star, mode=args.mode)
-    _write_text(args.out, _render_tables(star, table))
+    table = run_phase1(transform_to_star(inst), mode=args.mode)
+    _write_text(args.out, _render_tables(table))
     return 0
 
 

@@ -191,7 +191,7 @@ def _internal_rows(
     ``(i, inf, ())``; every later row is infinite too (module doc). Every
     child that is infinite at ``i + 1`` must be equipped, so the row is
     known infinite without the greedy when more children are infinite than
-    row 0 equips, or when one of them is ineligible.
+    row 0 equips.
 
     Raises ContractViolationError, naming the node, when a row 0 comes
     back infinite: on a transformed tree every eligible child can be
@@ -232,7 +232,6 @@ def _internal_rows(
                 changes.setdefault(i, []).append((-1, b))
         bound = capacity
         infinite = current.count(INFINITE)  # all eligible and equipped, as row 0 is finite
-        blocked = False  # an ineligible child is infinite
         for i in sorted(changes):
             for pos, val in changes[i]:
                 if pos < 0:
@@ -241,8 +240,7 @@ def _internal_rows(
                     current[pos] = val
                     if val == INFINITE:  # a change, so the value was finite before
                         infinite += 1
-                        blocked = blocked or not elig[pos]
-            if stop and (blocked or infinite > e0_size):
+            if stop and infinite > e0_size:
                 c = INFINITE
             else:
                 e, c = equip_row(below, current, elig, bound, e0_size)

@@ -5,7 +5,7 @@ Starting at the artificial root with hop index 0, each visit of
 child: equipped children restart at index 0, the rest carry ``i + 1``
 (their nearest equipped ancestor is one hop further away). Traversal is
 an explicit stack over star indices so degenerate path trees of depth
-1e5 are fine. The walk reads the tables' change-point segments directly
+1e5 are fine. The walk reads ``table.star`` and the change-point segments
 and records no visits; ``PlacementResult.trace`` re-runs it on first read.
 It never reads an infinite row, so phase 1 need not keep them: it starts
 at the root's finite row 0, and a finite row ``(v, i)`` leaves each child
@@ -14,7 +14,6 @@ it does not equip a finite value, hence a finite row, at ``i + 1``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
 from itertools import islice
 
@@ -24,31 +23,38 @@ from .transform import StarTree
 
 
 class PlacementResult:
-    """The replica set, and the star tree and tables that found it."""
+    """The placed star indices, ascending, and the tables that found them."""
 
-    def __init__(self, replicas: tuple[str, ...], cardinality: int, star: StarTree, table: ContributionTable):
-        self.replicas = replicas  # original internal node ids, ascending
-        self.cardinality = cardinality
-        self.star = star
+    def __init__(self, placed: list[int], table: ContributionTable):
+        self.placed = placed
         self.table = table
+        self.replicas = tuple([table.star.ids[r] for r in placed])  # original internal node ids
+
+    @property
+    def star(self) -> StarTree:
+        return self.table.star
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.placed)
 
     @cached_property
     def trace(self) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
         """``(node, index, placed)`` per visit, by id; re-walked on first read."""
         visits: list = []
-        _walk(self.star, self.table, visits)
+        _walk(self.table, visits)
         ids = self.star.ids
         return tuple((ids[v], i, tuple(ids[c] for c in e)) for v, i, e in visits)
 
 
-def _walk(star: StarTree, table: ContributionTable, visits: list | None = None) -> list[int]:
+def _walk(table: ContributionTable, visits: list | None = None) -> list[int]:
     """The star indices the tables equip, in visit order; appends ``(star
     index, hop index, equipped child indices)`` per visit to ``visits``."""
-    kids = star.kids
-    eligibles = star.eligibles
+    kids = table.star.kids
+    eligibles = table.star.eligibles
     segments = table.segments
     placed: list[int] = []
-    stack: list[tuple[int, int]] = [(star.root, 0)]
+    stack: list[tuple[int, int]] = [(table.star.root, 0)]
     pop = stack.pop
     while stack:
         v, idx = pop()
@@ -66,7 +72,7 @@ def _walk(star: StarTree, table: ContributionTable, visits: list | None = None) 
     return placed
 
 
-def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
+def place_replicas(table: ContributionTable) -> PlacementResult:
     """Walk the tree and collect the replica set recorded in the tables.
 
     The walk visits in deterministic preorder (children in ascending id
@@ -74,26 +80,20 @@ def place_replicas(star: StarTree, table: ContributionTable) -> PlacementResult:
     those visits. The resulting cardinality must equal the table's
     minimum count; any mismatch is a solver bug.
     """
-    eligibles = star.eligibles
-    placed = _walk(star, table)
+    eligibles = table.star.eligibles
+    placed = _walk(table)
     for r in placed:
         if not eligibles[r]:
-            raise ContractViolationError(f"replica placed on ineligible leaf {star.ids[r]!r}")
+            raise ContractViolationError(f"replica placed on ineligible leaf {table.star.ids[r]!r}")
     if len(placed) != table.min_replica_count:
         raise ContractViolationError(
             f"placed {len(placed)} replicas, tables promised {table.min_replica_count}"
         )
     placed.sort()  # index order is id order; a star id is the original node's id
-    ids = star.ids
-    return PlacementResult(
-        replicas=tuple([ids[r] for r in placed]),
-        cardinality=len(placed),
-        star=star,
-        table=table,
-    )
+    return PlacementResult(placed, table)
 
 
-def root_workload_check(star: StarTree, result: PlacementResult) -> None:
+def root_workload_check(result: PlacementResult) -> None:
     """Defense-in-depth: re-derive the workload that stops at the old root.
 
     Every demanding bundle flows to its nearest equipped ancestor (or
@@ -104,8 +104,8 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
     load left there. One preorder pass carries each node's nearest
     equipped ancestor-or-self (-1: none below the artificial root).
     """
-    ids = star.ids
-    equipped = {bisect_left(ids, r, 0, star.root) for r in result.replicas}  # id order
+    star = result.star
+    equipped = set(result.placed)
     parents = star.parents
     weights = star.weights
     eligibles = star.eligibles
@@ -126,4 +126,4 @@ def root_workload_check(star: StarTree, result: PlacementResult) -> None:
 
     load, limit = (root_load, star.capacity) if old_root in equipped else (unabsorbed, 0)
     if load > limit:
-        raise ContractViolationError(f"old root {ids[old_root]!r} is left with load {load}, over {limit}")
+        raise ContractViolationError(f"old root {star.ids[old_root]!r} is left with load {load}, over {limit}")

@@ -20,7 +20,7 @@ def no_lap(stage: str, value: Any) -> Any:
 
 def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE, lap: Lap = no_lap) -> PlacementResult:
     """Compute a minimum replica set for a validated instance: the
-    ``PlacementResult``, which also holds the star tree and the tables.
+    ``PlacementResult``, which also holds the tables and, in them, the star tree.
     ``lap`` sees the end of each stage: transform, phase1, place and
     root_check.
 
@@ -31,6 +31,6 @@ def solve_instance(inst: NetworkInstance, mode: str = MODE_PER_BUNDLE, lap: Lap 
     here; callers wire it as a separate check so the two stay decoupled.
     """
     star = lap("transform", transform_to_star(inst))
-    placement = lap("place", place_replicas(star, lap("phase1", run_phase1(star, mode=mode))))
-    lap("root_check", root_workload_check(star, placement))
+    placement = lap("place", place_replicas(lap("phase1", run_phase1(star, mode=mode))))
+    lap("root_check", root_workload_check(placement))
     return placement

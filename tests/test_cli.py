@@ -78,9 +78,7 @@ def test_solve_infeasible_precheck(tmp_path, capsys):
 def test_solve_reports_a_broken_root_check_as_one_error_line(capsys, monkeypatch):
     """A placement that leaves load at the root is a solver defect: exit 1,
     one ``error:`` line, and no ``"feasible": false`` document."""
-    monkeypatch.setattr(
-        solver, "place_replicas", lambda star, table: PlacementResult((), 0, star, table)
-    )
+    monkeypatch.setattr(solver, "place_replicas", lambda table: PlacementResult([], table))
     code, out, err = run(capsys, "solve", WORKED)
     assert code == 1
     assert out == ""
@@ -371,6 +369,26 @@ def test_gen_fictivize_validates_the_rewritten_instance(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: [root-count]")
+
+
+@pytest.mark.parametrize(
+    "demand, copies",
+    [([10**4299, 1], 12), ([2, 10**4300 - 1], 1)],
+    ids=["summed-demand", "qos-plus-one"],
+)
+def test_gen_fictivize_rejects_a_rewrite_past_the_digit_limit(tmp_path, capsys, demand, copies):
+    """Each number of the dual-role document has at most 4,300 digits, but
+    a stand-in client's link (the summed demand) or its ``q + 1`` has
+    4,301: one ``error:`` line, exit 1, and no output file."""
+    nodes = [{"id": f"n{k:02d}", "parent": f"n{(k - 1) // 2:02d}" if k else None, "bw": 5, "demand": demand}
+             for k in range(copies)]
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"capacity": 10**4299, "nodes": nodes}))
+    out_path = tmp_path / "inst.json"
+    code, out, err = run(capsys, "gen", "--fictivize", str(net), "--out", str(out_path))
+    assert code == 1
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gen_bad_branching_syntax(capsys):

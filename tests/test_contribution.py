@@ -159,13 +159,41 @@ def test_greedy_properties(items, bound):
 @settings(max_examples=300, deadline=None)
 def test_row_known_infinite_without_the_greedy(items, bound, e0_size):
     """Every infinite child must be equipped, so a deeper row is infinite
-    when more children are infinite than row 0 equipped, or when one of
-    them is ineligible: the test phase 1 makes before calling the kernel."""
+    when more children are infinite than row 0 equipped (the test phase 1
+    makes before calling the kernel), or when one of them is ineligible
+    (the kernel runs out of eligible children)."""
     values = [c for c, _e in items]
     elig = [e for _c, e in items]
     infinite = [e for c, e in items if c == INF]
     assume(len(infinite) > e0_size or not all(infinite))
     assert equip_row(list(range(len(items))), values, elig, bound, e0_size)[1] == INF
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+@pytest.mark.parametrize(
+    "s_demand, e0, c0", [(4, (), 9), (6, ("s",), 5)], ids=["row-0-equips-nothing", "row-0-equips-s"]
+)
+def test_a_merged_leaf_infinite_at_row_1_stops_its_parent(mode, s_demand, e0, c0):
+    """r's merged bundle (qos 1) is infinite one hop past r, so r's row 1 is
+    infinite: when row 0 equips s, as many children are infinite as row 0
+    equips and the greedy finds the row infinite by running out of eligible
+    children. Phase 1 stores ``(1, inf, ())`` and stops; ``table`` runs on
+    past the stop, and its row 1 equips s, the one eligible child."""
+    doc = {"W": 10, "nodes": [
+        {"id": "R", "parent": None, "kind": "internal"},
+        {"id": "r", "parent": "R", "kind": "internal", "bw": 20},
+        {"id": "s", "parent": "r", "kind": "internal", "bw": 20},
+        {"id": "cr", "parent": "r", "kind": "client", "bw": 20, "w": 5, "q": 1},
+        {"id": "cs", "parent": "s", "kind": "client", "bw": 20, "w": s_demand, "q": 3},
+    ]}
+    star = transform_to_star(parse_instance(json.dumps(doc)))
+    table = run_phase1(star, mode=mode)
+    r = star.index["r"]
+    assert [star.eligibles[k] for k in star.kids[r]] == [False, True]
+    assert table.segments[r] == [(0, c0, tuple(star.index[k] for k in e0)), (1, INF, ())]
+    rows = table.table("r")
+    assert rows.c_row == (c0, INF, INF)
+    assert rows.e_row == (e0, ("s",), ("s",))
 
 
 # --- unit: internal-node row ----------------------------------------------

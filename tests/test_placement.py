@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -38,16 +39,18 @@ WORKED_TRACE = (
 def test_worked_example_placement(worked_example):
     star = transform_to_star(worked_example)
     table = run_phase1(star)
-    result = place_replicas(star, table)
+    result = place_replicas(table)
     assert result.replicas == ("a", "b", "c", "g", "i", "k", "p")
+    assert result.placed == sorted(star.index[r] for r in result.replicas)
+    assert result.star is star
     assert result.cardinality == table.min_replica_count == 7
     assert result.trace == WORKED_TRACE
 
 
 def test_result_trace_follows_the_walk(worked_example):
     star = transform_to_star(worked_example)
-    result = place_replicas(star, run_phase1(star))
-    assert result.trace == place_replicas(star, run_phase1(star)).trace
+    result = place_replicas(run_phase1(star))
+    assert result.trace == place_replicas(run_phase1(star)).trace
     # same replicas, one visit fewer (the merged leaf y, d's last child, cut
     # out of the walk): the traces differ
     kids = list(star.kids)
@@ -56,7 +59,9 @@ def test_result_trace_follows_the_walk(worked_example):
     kids[d] = kids[d][:-1]
     cut = StarTree(star.capacity, star.ids, star.parents, star.bws, star.weights, star.qoses,
                    star.eligibles, star.bundles, kids, star.depths, star.preorder, star.max_leaf_qos)
-    shorter = PlacementResult(result.replicas, result.cardinality, cut, result.table)
+    cut_table = copy.copy(result.table)
+    cut_table.star = cut
+    shorter = PlacementResult(result.placed, cut_table)
     assert shorter.replicas == result.replicas
     assert shorter.trace == result.trace[:-1]
 
@@ -64,13 +69,13 @@ def test_result_trace_follows_the_walk(worked_example):
 def test_worked_example_increments_index_at_d(worked_example):
     """d is skipped at level 0, so its visit carries i=1 and places k."""
     star = transform_to_star(worked_example)
-    result = place_replicas(star, run_phase1(star))
+    result = place_replicas(run_phase1(star))
     assert ("d", 1, ("k",)) in result.trace
 
 
 def test_trace_indices_match_equipped_distance(worked_example):
     star = transform_to_star(worked_example)
-    result = place_replicas(star, run_phase1(star))
+    result = place_replicas(run_phase1(star))
     equipped = set(result.replicas)
     parent = {n.id: n.parent for n in star.nodes}
     for node, idx, _placed in result.trace:
@@ -84,8 +89,8 @@ def test_trace_indices_match_equipped_distance(worked_example):
 
 def test_root_check_passes_on_worked_example(worked_example):
     star = transform_to_star(worked_example)
-    result = place_replicas(star, run_phase1(star))
-    root_workload_check(star, result)  # must not raise
+    result = place_replicas(run_phase1(star))
+    root_workload_check(result)  # must not raise
 
 
 @pytest.mark.parametrize(
@@ -104,18 +109,17 @@ def test_root_check_names_the_load_left_at_the_root(worked_example, replicas, lo
     message names the old root with its own load when it is equipped, else
     the demand nothing below it absorbs."""
     star = transform_to_star(worked_example)
-    placed = place_replicas(star, run_phase1(star))
-    result = PlacementResult(replicas, placed.cardinality, star, placed.table)
+    result = PlacementResult(sorted(star.index[r] for r in replicas), run_phase1(star))
     with pytest.raises(ContractViolationError, match=rf"old root 'a' is left with load {load}\b"):
-        root_workload_check(star, result)
+        root_workload_check(result)
 
 
 def test_root_check_accepts_a_non_optimal_set_that_fits(worked_example):
     star = transform_to_star(worked_example)
     replicas = ("a", "b", "c", "d", "e", "g", "j")
-    placed = place_replicas(star, run_phase1(star))
-    result = PlacementResult(replicas, placed.cardinality, star, placed.table)
-    root_workload_check(star, result)  # must not raise
+    result = PlacementResult(sorted(star.index[r] for r in replicas), run_phase1(star))
+    assert result.replicas == replicas
+    root_workload_check(result)  # must not raise
 
 
 def test_single_leaf_micro():
@@ -134,7 +138,7 @@ def test_single_leaf_micro():
     star = transform_to_star(inst)
     table = run_phase1(star)
     assert table.table(ARTIFICIAL_ROOT_ID).e_row[0] == ("r",)
-    result = place_replicas(star, table)
+    result = place_replicas(table)
     assert result.cardinality == 1
     # the replica lives on an eligible leaf, which keeps the id of the
     # original internal node it replaced
@@ -161,4 +165,4 @@ def test_map_rejects_ineligible_leaf(worked_example):
     table = run_phase1(star)
     table.segments[star.root] = [(0, 0, (star.index["x"],))]
     with pytest.raises(ContractViolationError, match="ineligible leaf 'x'"):
-        place_replicas(star, table)
+        place_replicas(table)
