@@ -113,7 +113,8 @@ class ContributionTable:
     ``i``. An internal node's list ends at its first infinite row, stored
     as ``(j, inf, ())``: every later row is infinite too, so the ``c``
     values are exact everywhere, but the equip sets of the infinite rows
-    are not kept. ``table``, the one id-keyed reader, builds its rows on
+    are not kept. The lists are read-only, as nodes with equal lists may
+    share one. ``table``, the one id-keyed reader, builds its rows on
     each call and re-derives such a node's rows without the stop, with the
     path bounds (aggregate mode) that phase 1 used.
     """
@@ -199,9 +200,9 @@ def _internal_rows(
     """
     capacity = star.capacity
     limit = star.max_leaf_qos + 1
-    kids = star.kids
-    eligible = star.eligibles
-    depths = star.depths
+    kids, eligible, depths = star.kids, star.eligibles, star.depths
+    stops = [(i, INFINITE, ()) for i in range(limit + 1)]  # shared by every list they end
+    plain: dict = {}  # (c, i) -> one shared list [(0, c, ()), (i, inf, ())]
     for v in nodes:
         rows = min(depths[v], limit)
         below = kids[v]
@@ -245,7 +246,9 @@ def _internal_rows(
             else:
                 e, c = equip_row(below, current, elig, bound, e0_size)
             if stop and c == INFINITE:  # row i - 1 was finite
-                segs.append((i, INFINITE, ()))
+                segs.append(stops[i])
+                if len(segs) == 2 and not last_e:  # the usual shape: equips nothing, then stops
+                    segs = plain.setdefault((last_c, i), segs)
                 break
             if c != last_c or e != last_e:
                 segs.append((i, c, e))
@@ -268,16 +271,13 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     limit = star.max_leaf_qos + 1
-    parents = star.parents
-    bws = star.bws
-    weights = star.weights
-    qoses = star.qoses
-    kids = star.kids
-    depths = star.depths
+    parents, bws, weights = star.parents, star.bws, star.weights
+    qoses, kids, depths = star.qoses, star.kids, star.depths
     bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
 
     segments: list = [None] * len(weights)
     internal: list[int] = []  # children before parents
+    shared: dict = {}  # (weight, cut or 0) -> the one list of all such leaves
     for v in reversed(star.preorder):
         weight = weights[v]
         if weight is None:
@@ -286,7 +286,7 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
         # A leaf's row is its weight up to the first hop past the qos or
         # through a link narrower than the weight, infinite from there on;
         # zero-demand bundles contribute 0 throughout.
-        segments[v] = [(0, weight, ())]
+        segs = [(0, weight, ())]
         if weight:
             rows = min(depths[v], limit)
             reach = min(rows, qoses[v])
@@ -296,7 +296,8 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
                 walker = parents[walker]
                 cut += 1
             if cut <= rows:
-                segments[v].append((cut, INFINITE, ()))
+                segs.append((cut, INFINITE, ()))
+        segments[v] = shared.setdefault((weight, segs[-1][0]), segs)
 
     m_values = [0] * len(weights)
     for v, segs in _internal_rows(star, segments, internal, bounds, stop=True):

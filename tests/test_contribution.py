@@ -478,3 +478,26 @@ def test_phase1_stops_only_where_every_later_row_is_infinite(mode):
         )
         past += _rows_past_the_stop(transform_to_star(inst), mode)
     assert past > 1000, past
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_equal_stored_rows_share_one_list(mode):
+    """Phase 1 gives all leaves with equal rows one list, and all internal
+    nodes that equip nothing and then stop, ``[(0, c, ()), (i, inf, ())]``,
+    one list per ``(c, i)``; other internal nodes keep lists of their own."""
+    inst = generate(GenConfig(seed=3, internal=400, clients=600, capacity=30, weight_range=(0, 5),
+                              qos_range=(1, 10), bandwidth_range=(5, 20)))
+    star = transform_to_star(inst)
+    segments = run_phase1(star, mode=mode).segments
+    lists: dict = {}  # (leaf, rows) -> ids of the list objects holding them
+    nodes = {True: 0, False: 0}
+    for v in star.preorder:
+        segs = segments[v]
+        leaf = star.weights[v] is not None
+        plain = len(segs) == 2 and segs[0][2] == () and segs[1][1] == INF
+        lists.setdefault((leaf, leaf or plain, tuple(segs)), set()).add(id(segs))
+        nodes[leaf or plain] += 1
+    shared = {key: ids for key, ids in lists.items() if key[1]}
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert sum(len(ids) for key, ids in lists.items() if not key[1]) == nodes[False] > 0
+    assert len(shared) * 2 < nodes[True]  # most such nodes reuse a list
