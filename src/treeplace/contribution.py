@@ -201,7 +201,6 @@ def _internal_rows(
     capacity = star.capacity
     limit = star.max_leaf_qos + 1
     kids, eligible, depths = star.kids, star.eligibles, star.depths
-    stops = [(i, INFINITE, ()) for i in range(limit + 1)]  # shared by every list they end
     plain: dict = {}  # (c, i) -> one shared list [(0, c, ()), (i, inf, ())]
     for v in nodes:
         rows = min(depths[v], limit)
@@ -246,7 +245,7 @@ def _internal_rows(
             else:
                 e, c = equip_row(below, current, elig, bound, e0_size)
             if stop and c == INFINITE:  # row i - 1 was finite
-                segs.append(stops[i])
+                segs.append((i, INFINITE, ()))
                 if len(segs) == 2 and not last_e:  # the usual shape: equips nothing, then stops
                     segs = plain.setdefault((last_c, i), segs)
                 break

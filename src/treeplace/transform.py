@@ -95,7 +95,7 @@ class StarTree:
     """
 
     def __init__(self, capacity: int, ids: list[str], parents: list[int], bws: list, weights: list,
-                 qoses: list[int], eligibles: list[bool], bundles: list, kids: list,
+                 qoses: list[int], eligibles: list[bool], bundles: list, kids: list[tuple[int, ...]],
                  depths: list[int], preorder: list[int], max_leaf_qos: int):
         self.capacity = capacity
         self.ids = ids  # index -> id
@@ -105,7 +105,7 @@ class StarTree:
         self.qoses = qoses  # bundle qos on leaves
         self.eligibles = eligibles  # may host a replica: internal nodes and eligible leaves
         self.bundles = bundles  # the bundled client indices (ascending) on leaves, None elsewhere
-        self.kids = kids  # id-ordered child index lists; () on leaves and holes
+        self.kids = kids  # id-ordered child indices
         self.depths = depths  # hops up to the root; -1 on holes
         self.preorder = preorder  # parents before children, siblings in id order
         self.max_leaf_qos = max_leaf_qos
@@ -171,15 +171,12 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     require_valid(inst)
     kinds, ws, qs, capacity = inst.kinds, inst.ws, inst.qs, inst.capacity
     root = len(kinds)
-    ups = inst.parent_index.copy()
-    ups[inst.parents.index(None)] = root  # the old root hangs below r+
-    # the original child lists, split by kind, id-ordered because the indices
-    # are; the internal ones become the star's (a merged leaf is added below)
+    ups = [root if up < 0 else up for up in inst.parent_index]  # the old root hangs below r+
+    # the original child lists, split by kind, id-ordered because the indices are
     client_kids: list = [None] * (root + 1)
-    kids: list = [()] * (root + 1)
+    inner_kids: list = [None] * (root + 1)
     findings: list[PrecheckFinding] = []
-    # v: the index's own ints, 0..n-1 as the ids are unique, not n fresh ones
-    for v, kind, up, bw, w in zip(inst.index.values(), kinds, ups, inst.bws, ws):
+    for v, kind, up, bw, w in zip(range(root), kinds, ups, inst.bws, ws):
         if kind == KIND_CLIENT:
             if w > bw:
                 findings.append(PrecheckFinding(inst.ids[v], "link-bandwidth", w, bw))
@@ -187,11 +184,11 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
                 findings.append(PrecheckFinding(inst.ids[v], "capacity", w, capacity))
             lists = client_kids
         else:
-            lists = kids
-        if lists[up]:
-            lists[up].append(v)
-        else:
+            lists = inner_kids
+        if lists[up] is None:
             lists[up] = [v]
+        else:
+            lists[up].append(v)
     if findings:
         link = any(f.kind == "link-bandwidth" for f in findings)
         raise InfeasibleError(REASON_LINK if link else REASON_CAPACITY, tuple(findings))
@@ -204,21 +201,26 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     qoses = [0] * size
     eligibles = [True] * size
     bundles: list = [None] * size
+    kids: list[tuple[int, ...]] = [()] * size
+    kids[root] = tuple(inner_kids[root])
     heavy: list[tuple[str, int]] = []
     max_qos = 0
-    for v, kind, up, bw in zip(inst.index.values(), kinds, ups, inst.bws):
+    for v, kind, up, bw in zip(range(root), kinds, ups, inst.bws):
         if kind == KIND_CLIENT:
             continue
         parents[v] = up
         bws[v] = 0 if up == root else bw
+        inner = inner_kids[v]
         clients = client_kids[v]
-        if not kids[v]:
+        if inner is None:
             leaf = v  # suppressed: the node itself becomes an eligible leaf
         elif clients is None:
+            kids[v] = tuple(inner)
             continue
         else:
             leaf = clients[0]  # compressed: a merged leaf behind an unbounded link
-            insort(kids[v], leaf)
+            insort(inner, leaf)
+            kids[v] = tuple(inner)
             parents[leaf] = v
             bws[leaf] = UNBOUNDED
             eligibles[leaf] = False

@@ -434,6 +434,32 @@ def test_inspect_renders_tables(capsys):
     assert "{b,c}" in out  # the root equip set at index 0
 
 
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+def test_a_qos_past_the_depth_costs_no_more_than_the_depth(tmp_path, capsys, mode):
+    """Phase 1 and ``inspect`` size their rows by the tree's depth, not by the
+    largest qos: a client with q = 10**12 answers as one with q = 10 on a tree
+    of depth 3, and at once."""
+    outs = []
+    for q in (10, 10**12):
+        path = tmp_path / f"q{q}.json"
+        path.write_text(json.dumps({
+            "W": 10,
+            "nodes": [
+                {"id": "r", "parent": None, "kind": "internal"},
+                {"id": "a", "parent": "r", "kind": "internal", "bw": 9},
+                {"id": "b", "parent": "a", "kind": "internal", "bw": 4},
+                {"id": "c", "parent": "b", "kind": "client", "bw": 6, "w": 6, "q": q},
+                {"id": "d", "parent": "b", "kind": "client", "bw": 3, "w": 3, "q": q},
+                {"id": "e", "parent": "a", "kind": "client", "bw": 8, "w": 8, "q": q},
+                {"id": "f", "parent": "r", "kind": "client", "bw": 5, "w": 1, "q": 1},
+            ],
+        }))
+        runs = [run(capsys, command, str(path), "--mode", mode) for command in ("solve", "inspect")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        outs.append([out for _, out, _ in runs])
+    assert outs[0] == outs[1]
+
+
 def test_inspect_infeasible(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
