@@ -114,7 +114,9 @@ class ContributionTable:
     as ``(j, inf, ())``: every later row is infinite too, so the ``c``
     values are exact everywhere, but the equip sets of the infinite rows
     are not kept. The lists are read-only, as nodes with equal lists may
-    share one. ``table``, the one id-keyed reader, builds its rows on
+    share one. ``m[v]``, also read-only, is the number of replicas strictly
+    below ``v`` (0 on leaves); every finite row of ``v`` equips a set that
+    keeps this count. ``table``, the one id-keyed reader, builds its rows on
     each call and re-derives such a node's rows without the stop, with the
     path bounds (aggregate mode) that phase 1 used.
     """
@@ -122,7 +124,7 @@ class ContributionTable:
     def __init__(self, star: StarTree, segments: list, m_values: list[int], bounds: list | None):
         self.star = star
         self.segments = segments
-        self._m = m_values
+        self.m = m_values
         self._bounds = bounds
         self.min_replica_count: int = m_values[star.root]
 
@@ -144,7 +146,7 @@ class ContributionTable:
         for (start, c, e), end in zip(segs, ends):
             c_row += [c] * (end - start)
             e_row += [tuple(ids[k] for k in e)] * (end - start)
-        return NodeTable(node, depth, tuple(c_row), tuple(e_row), self._m[v])
+        return NodeTable(node, depth, tuple(c_row), tuple(e_row), self.m[v])
 
 
 def _path_bounds(star: StarTree, limit: int) -> list:

@@ -1,12 +1,15 @@
 """Top-down replica placement from the contribution tables.
 
 Starting at the artificial root with hop index 0, each visit of
-``(v, i)`` equips the equip set ``e(v, i)``, then recurses into every
-child: equipped children restart at index 0, the rest carry ``i + 1``
-(their nearest equipped ancestor is one hop further away). Traversal is
-an explicit stack over star indices so degenerate path trees of depth
-1e5 are fine. The walk reads ``table.star`` and the change-point segments
-and records no visits; ``PlacementResult.trace`` re-runs it on first read.
+``(v, i)`` equips the equip set ``e(v, i)``, then recurses into the
+children: equipped children restart at index 0, the rest carry ``i + 1``
+(their nearest equipped ancestor is one hop further away). Only children
+with a replica strictly below them (``m > 0`` in the tables) are entered;
+the others have nothing left to place. Traversal is an explicit stack
+over star indices so degenerate path trees of depth 1e5 are fine. The
+walk reads ``table.star``, the change-point segments and ``table.m`` and
+records no visits; ``PlacementResult.trace`` re-runs it over every node
+on first read.
 It never reads an infinite row, so phase 1 need not keep them: it starts
 at the root's finite row 0, and a finite row ``(v, i)`` leaves each child
 it does not equip a finite value, hence a finite row, at ``i + 1``.
@@ -15,7 +18,6 @@ it does not equip a finite value, hence a finite row, at ``i + 1``.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 
 from .contribution import ContributionTable
 from .errors import ContractViolationError
@@ -48,13 +50,17 @@ class PlacementResult:
 
 
 def _walk(table: ContributionTable, visits: list | None = None) -> list[int]:
-    """The star indices the tables equip, in visit order; appends ``(star
-    index, hop index, equipped child indices)`` per visit to ``visits``."""
+    """The star indices the tables equip, in visit order. Without ``visits``
+    only the subtrees that hold a replica are entered; with it every node
+    is, and each visit appends ``(star index, hop index, equipped child
+    indices)``."""
     kids = table.star.kids
     eligibles = table.star.eligibles
     segments = table.segments
+    enter = table.m if visits is None else [1] * len(kids)
     placed: list[int] = []
-    stack: list[tuple[int, int]] = [(table.star.root, 0)]
+    root = table.star.root
+    stack: list[tuple[int, int]] = [(root, 0)] if enter[root] else []
     pop = stack.pop
     while stack:
         v, idx = pop()
@@ -68,7 +74,7 @@ def _walk(table: ContributionTable, visits: list | None = None) -> list[int]:
         if visits is not None:
             visits.append((v, idx, e_set))
         placed += e_set
-        stack += [(c, 0 if c in e_set else idx + 1) for c in reversed(kids[v])]
+        stack += [(c, 0 if c in e_set else idx + 1) for c in reversed(kids[v]) if enter[c]]
     return placed
 
 
@@ -101,29 +107,27 @@ def root_workload_check(result: PlacementResult) -> None:
     capacity; if not, nothing may be left over at the root, because no
     demand can cross the zero-bandwidth artificial link. Only a solver
     defect trips this: ContractViolationError names the old root and the
-    load left there. One preorder pass carries each node's nearest
-    equipped ancestor-or-self (-1: none below the artificial root).
+    load left there. Either way that load is the demand of the leaves
+    that reach the old root without passing an equipped eligible node, so
+    one walk down from the old root sums them and stops at each such node
+    (a replica listed on a merged bundle equips nothing).
     """
     star = result.star
     equipped = set(result.placed)
-    parents = star.parents
+    kids = star.kids
     weights = star.weights
     eligibles = star.eligibles
-    (old_root,) = star.kids[star.root]
+    (old_root,) = kids[star.root]
 
-    server = [-1] * len(parents)
-    root_load = 0
-    unabsorbed = 0
-    for v in islice(star.preorder, 1, None):
-        s = v if v in equipped and eligibles[v] else server[parents[v]]
-        server[v] = s
+    load = 0
+    stack = [old_root]
+    while stack:
+        v = stack.pop()
         weight = weights[v]
-        if weight:  # a demanding leaf
-            if s == old_root:
-                root_load += weight
-            elif s < 0:
-                unabsorbed += weight
-
-    load, limit = (root_load, star.capacity) if old_root in equipped else (unabsorbed, 0)
+        if weight is None:  # an internal node
+            stack += [c for c in kids[v] if not (c in equipped and eligibles[c])]
+        else:
+            load += weight
+    limit = star.capacity if old_root in equipped else 0
     if load > limit:
         raise ContractViolationError(f"old root {star.ids[old_root]!r} is left with load {load}, over {limit}")

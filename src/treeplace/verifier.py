@@ -15,8 +15,10 @@ semantics:
 
 Zero-demand clients need no server and add no flow.
 
-The walks run on the instance's columns: up its int parent column,
-against a per-index equipped flag. Ids come back only in the report.
+The walks run on the instance's columns: one pass over the clients walks
+up the int parent column against a per-index equipped flag, then each
+sibling bundle's path to its server is walked once. Ids come back only
+in the report.
 Sharing that input form is all the verifier shares with the solver:
 it has its own walks and no code from the solver pipeline.
 """
@@ -37,15 +39,17 @@ class RuleViolation(NamedTuple):
 
 
 class FeasibilityReport:
-    def __init__(self, mode: str, server_loads: dict[str, int],
-                 violations: tuple[RuleViolation, ...], instance: NetworkInstance, servers: list):
+    def __init__(self, mode: str, server_loads: dict[str, int], violations: tuple[RuleViolation, ...],
+                 instance: NetworkInstance, servers: list, bundles: dict[int, list[int]]):
         self.mode = mode
         self.server_loads = server_loads
         self.violations = violations
-        # the instance checked and the per-index servers of its clients (see
-        # _servers); assignment and link_flows are derived from them on demand
+        # the instance checked, the per-index servers of its clients and its
+        # served bundles (see verify_placement); assignment and link_flows
+        # are derived from them on demand
         self.instance = instance
         self.servers = servers
+        self.bundles = bundles
 
     @property
     def feasible(self) -> bool:
@@ -61,13 +65,19 @@ class FeasibilityReport:
     def link_flows(self) -> dict[str, dict]:
         """child-end id -> {"total": int, "parts": [[label, flow], ...]}, both sorted.
 
-        Built from the same link walk as the bandwidth check, on first
-        read only: a solve's self-check never reads it.
+        Every served client's own link carries just its own demand
+        (labelled by the client); the bundles' links come from the same
+        walk as the bandwidth check. Built on first read only: a solve's
+        self-check never reads it.
         """
-        ids = self.instance.ids
+        inst = self.instance
+        ids, ws = inst.ids, inst.ws
         parts: dict[str, list[tuple[str, int]]] = {}
-        for child_end, label, flow in _link_crossings(self.instance, self.servers):
-            parts.setdefault(ids[child_end], []).append((ids[label], flow))
+        for c, server in enumerate(self.servers):
+            if server is not None and server >= 0:
+                parts[ids[c]] = [(ids[c], ws[c])]
+        for child_end, parent, flow in _bundle_links(inst.parent_index, self.bundles):
+            parts.setdefault(ids[child_end], []).append((ids[parent], flow))
         out: dict[str, dict] = {}
         for child_end in sorted(parts):
             ordered = sorted(parts[child_end])
@@ -91,62 +101,13 @@ class FeasibilityReport:
         }
 
 
-def _servers(
-    inst: NetworkInstance, replicas: set[str] | frozenset[str]
-) -> tuple[list, list[RuleViolation]]:
-    """Per node index the server's index (-1: none; None: not a client),
-    and an "unserved" violation per demanding client without a replica in
-    range. The walk runs up the int parent column against a per-index
-    equipped flag and stops after q(v) hops. ``verify_placement`` has
-    already rejected replica ids that are not internal nodes."""
-    index = inst.index
-    equipped = bytearray(len(inst.ids))
-    for r in replicas:
-        equipped[index[r]] = 1
-    ids = inst.ids
-    ups = inst.parent_index
-    servers: list = [None] * len(ids)
-    violations: list[RuleViolation] = []
-    for c, kind, w, q in zip(range(len(ids)), inst.kinds, inst.ws, inst.qs):
-        if kind != KIND_CLIENT:
-            continue
-        server = -1
-        if w:
-            cur = ups[c]
-            for _hop in range(q):
-                if cur < 0:
-                    break
-                if equipped[cur]:
-                    server = cur
-                    break
-                cur = ups[cur]
-            if server < 0:
-                violations.append(RuleViolation("unserved", ids[c], w))
-        servers[c] = server
-    return servers, violations
+def _bundle_links(ups: list[int], bundles: dict[int, list[int]]) -> Iterator[tuple[int, int, int]]:
+    """``(child-end index, bundle parent index, flow)`` for every link a bundle crosses.
 
-
-def _link_crossings(inst: NetworkInstance, servers: list) -> Iterator[tuple[int, int, int]]:
-    """``(child-end index, label index, flow)`` for every link a served flow crosses.
-
-    Every client edge carries just its own demand (labelled by the
-    client); above the bundle's parent the merged flow of the sibling
-    clients travels together up to the server (labelled by that parent).
+    ``bundles`` maps a served bundle's parent index to ``[merged flow,
+    server index]``: the merged flow of the sibling clients travels
+    together from their parent up to the server.
     """
-    ws = inst.ws
-    ups = inst.parent_index
-    bundles: dict[int, list[int]] = {}  # parent index -> [merged flow, server index]
-    for c, server in enumerate(servers):
-        if server is not None and server >= 0:
-            flow = ws[c]
-            yield c, c, flow
-            bundle = bundles.get(ups[c])
-            if bundle is None:
-                bundles[ups[c]] = [flow, server]
-            else:
-                bundle[0] += flow
-                # all served siblings share one nearest ancestor
-                assert bundle[1] == server
     for parent, (flow, server) in bundles.items():
         cur = parent
         while cur != server:
@@ -171,12 +132,45 @@ def verify_placement(
     if stray:
         raise StructureError(f"replica set contains non-internal nodes: {sorted(stray)}")
 
-    servers, violations = _servers(inst, replica_set)
-    ids, ws = inst.ids, inst.ws
+    ids, bws, ups = inst.ids, inst.bws, inst.parent_index
+    equipped = bytearray(len(ids))
+    for r in replica_set:
+        equipped[index[r]] = 1
+    servers: list = [None] * len(ids)  # per index: the server's index, -1 for none, None off clients
     load_at: dict[int, int] = {}
-    for c, server in enumerate(servers):
-        if server is not None and server >= 0:
-            load_at[server] = load_at.get(server, 0) + ws[c]
+    bundles: dict[int, list[int]] = {}  # parent index -> [merged flow, server index]
+    violations: list[RuleViolation] = []
+    # One pass over the clients: each demanding one walks up at most q hops
+    # to its server, adds its load, has its own link checked and adds its
+    # demand to its bundle's flow.
+    for c, kind, w, q in zip(range(len(ids)), kinds, inst.ws, inst.qs):
+        if kind != KIND_CLIENT:
+            continue
+        server = -1
+        if w:
+            parent = cur = ups[c]
+            for _hop in range(q):
+                if cur < 0:
+                    break
+                if equipped[cur]:
+                    server = cur
+                    break
+                cur = ups[cur]
+            if server < 0:
+                violations.append(RuleViolation("unserved", ids[c], w))
+            else:
+                load_at[server] = load_at.get(server, 0) + w
+                if w > bws[c]:  # the client's own link carries its demand alone
+                    violations.append(RuleViolation("bandwidth", ids[c], w - bws[c]))
+                bundle = bundles.get(parent)
+                if bundle is None:
+                    bundles[parent] = [w, server]
+                else:
+                    bundle[0] += w
+                    # all served siblings share one nearest ancestor
+                    assert bundle[1] == server
+        servers[c] = server
+
     loads = {r: load_at.get(index[r], 0) for r in sorted(replica_set)}
     for server, load in loads.items():
         if load > inst.capacity:
@@ -185,14 +179,14 @@ def verify_placement(
     # Per-bundle: the largest single flow on a link; aggregate: their sum.
     link_load = [0] * len(ids)
     aggregate = mode == MODE_AGGREGATE
-    for child_end, _label, flow in _link_crossings(inst, servers):
+    for child_end, _parent, flow in _bundle_links(ups, bundles):
         if aggregate:
             link_load[child_end] += flow
         elif flow > link_load[child_end]:
             link_load[child_end] = flow
-    for child_end, load, bw in zip(range(len(ids)), link_load, inst.bws):
+    for child_end, load, bw in zip(range(len(ids)), link_load, bws):
         if load and load > bw:
             violations.append(RuleViolation("bandwidth", ids[child_end], load - bw))
 
     ordered = tuple(sorted(violations, key=lambda v: (v.kind, v.location)))
-    return FeasibilityReport(mode, loads, ordered, inst, servers)
+    return FeasibilityReport(mode, loads, ordered, inst, servers, bundles)

@@ -9,6 +9,8 @@ no code with the program's own version:
 * ``precheck_client_links`` is the client screen that the transform
   runs inside its child-list pass;
 * ``verify_star_placement`` checks a replica set directly on a star tree;
+* ``root_workload_check`` is the root check as one full preorder pass
+  over the star tree, where the program walks down from the old root only;
 * ``dual_role_brute_force_min`` is the exhaustive minimum on the
   dual-role model, where every node may both demand and serve;
 * ``min_bw_on_path`` and ``leaf_contribution`` are the leaf row formula
@@ -23,7 +25,7 @@ import itertools
 import math
 from typing import Iterable, NamedTuple
 
-from treeplace.errors import GuardExceededError, StructureError
+from treeplace.errors import ContractViolationError, GuardExceededError, StructureError
 from treeplace.instance import (
     ARTIFICIAL_ROOT_ID,
     KIND_CLIENT,
@@ -35,6 +37,7 @@ from treeplace.instance import (
     Violation,
 )
 from treeplace.oracle import DEFAULT_MAX_INTERNAL, OracleResult
+from treeplace.placement import PlacementResult
 from treeplace.transform import StarLeaf, StarTree
 from treeplace.verifier import RuleViolation
 
@@ -307,6 +310,40 @@ def verify_star_placement(
         if loads[server] > star.capacity:
             violations.append(RuleViolation("capacity", server, loads[server] - star.capacity))
     return (not violations, violations)
+
+
+def root_workload_check(result: PlacementResult) -> None:
+    """The workload that stops at the old root, from every node's server.
+
+    One preorder pass carries each node's nearest equipped ancestor-or-self
+    (-1: none below the artificial root); a replica listed on an ineligible
+    leaf equips nothing. The old root's own load must fit the capacity when
+    it is equipped; otherwise no demand may be left unabsorbed. Raises
+    ContractViolationError naming the old root and that load.
+    """
+    star = result.star
+    equipped = set(result.placed)
+    parents = star.parents
+    weights = star.weights
+    eligibles = star.eligibles
+    (old_root,) = star.kids[star.root]
+
+    server = [-1] * len(parents)
+    root_load = 0
+    unabsorbed = 0
+    for v in itertools.islice(star.preorder, 1, None):
+        s = v if v in equipped and eligibles[v] else server[parents[v]]
+        server[v] = s
+        weight = weights[v]
+        if weight:  # a demanding leaf
+            if s == old_root:
+                root_load += weight
+            elif s < 0:
+                unabsorbed += weight
+
+    load, limit = (root_load, star.capacity) if old_root in equipped else (unabsorbed, 0)
+    if load > limit:
+        raise ContractViolationError(f"old root {star.ids[old_root]!r} is left with load {load}, over {limit}")
 
 
 def min_bw_on_path(star: StarTree, node_id: str, hops: int) -> int | float:

@@ -1,14 +1,17 @@
 import copy
+import itertools
 import json
 
 import pytest
 
 from treeplace.contribution import run_phase1
-from treeplace.errors import ContractViolationError
-from treeplace.instance import ARTIFICIAL_ROOT_ID, NodeSpec, parse_instance
+from treeplace.errors import ContractViolationError, InfeasibleError
+from treeplace.generator import SHAPES, GenConfig, generate, small_corpus_config
+from treeplace.instance import ARTIFICIAL_ROOT_ID, MODE_AGGREGATE, MODE_PER_BUNDLE, NodeSpec, parse_instance
 from treeplace.placement import PlacementResult, place_replicas, root_workload_check
 from treeplace.solver import solve_instance
 from treeplace.transform import StarTree, transform_to_star
+from tests import reference
 from tests.reference import instance_of
 
 # Expected call sequence on the worked example: preorder, children in id
@@ -166,3 +169,83 @@ def test_map_rejects_ineligible_leaf(worked_example):
     table.segments[star.root] = [(0, 0, (star.index["x"],))]
     with pytest.raises(ContractViolationError, match="ineligible leaf 'x'"):
         place_replicas(table)
+
+
+def _small_corpus_stars():
+    """The star trees of the feasible small-corpus seeds 0-499."""
+    for seed in range(500):
+        try:
+            yield transform_to_star(generate(small_corpus_config(seed)))
+        except InfeasibleError:
+            continue
+
+
+def _generated_stars():
+    """The star trees of generated 10^3-node trees of each shape, with mixed
+    qos and narrow links."""
+    for seed in range(6):
+        yield transform_to_star(generate(
+            GenConfig(seed=seed, internal=400, clients=600, capacity=30, shape=SHAPES[seed % 3],
+                      weight_range=(0, 5), qos_range=(1, 10), bandwidth_range=(5, 20))
+        ))
+
+
+class _Unreadable:
+    """Stands in for the segments of a node with no replica below it."""
+
+    def __init__(self, node: int):
+        self.node = node
+
+    def _fail(self, *_args):
+        raise AssertionError(f"placement read the segments of replica-free star node {self.node}")
+
+    __iter__ = __reversed__ = __getitem__ = __len__ = _fail
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_placement_reads_no_replica_free_subtree(mode):
+    """With the segments of every node whose subtree holds no replica
+    (m = 0) made unreadable, placement still finds the same replicas."""
+    blinded = 0
+    for star in itertools.chain(_small_corpus_stars(), _generated_stars()):
+        table = run_phase1(star, mode=mode)
+        blind = copy.copy(table)
+        blind.segments = [segs if m else _Unreadable(v)
+                          for v, (segs, m) in enumerate(zip(table.segments, table.m))]
+        assert place_replicas(blind).placed == place_replicas(table).placed
+        blinded += sum(1 for v in star.preorder if not table.m[v])
+    assert blinded > 3_000, blinded
+
+
+def _root_check_outcome(check, result: PlacementResult) -> str | None:
+    try:
+        check(result)
+    except ContractViolationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_root_check_matches_the_preorder_reference(mode):
+    """The walk down from the old root passes, or raises with the same
+    message, exactly where the full preorder pass does: on every
+    small-corpus placement, with each replica dropped in turn (the old
+    root's among them), and with every merged bundle listed as a replica
+    as well, which equips nothing."""
+    seen = {"raised": 0, "old root dropped": 0, "merged listed": 0}
+    for star in _small_corpus_stars():
+        result = place_replicas(run_phase1(star, mode=mode))
+        (old_root,) = star.kids[star.root]
+        merged = [v for v in star.preorder if star.weights[v] is not None and not star.eligibles[v]]
+        doctored = [result.placed, sorted(result.placed + merged)]
+        for gone in result.placed:
+            kept = [r for r in result.placed if r != gone]
+            doctored += [kept, sorted(kept + merged)]
+            seen["old root dropped"] += gone == old_root
+        for placed in doctored:
+            doctored_result = PlacementResult(placed, result.table)
+            want = _root_check_outcome(reference.root_workload_check, doctored_result)
+            assert _root_check_outcome(root_workload_check, doctored_result) == want, doctored_result.replicas
+            seen["raised"] += want is not None
+        seen["merged listed"] += bool(merged)
+    assert min(seen.values()) > 50, seen

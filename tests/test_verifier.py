@@ -4,7 +4,7 @@ import random
 import pytest
 
 from treeplace.errors import InfeasibleError, StructureError
-from treeplace.generator import GenConfig, generate, small_corpus_config
+from treeplace.generator import SHAPES, GenConfig, generate, small_corpus_config
 from treeplace.instance import ARTIFICIAL_ROOT_ID, parse_instance
 from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
@@ -169,18 +169,28 @@ def test_report_document_is_sorted(worked_example):
 @pytest.mark.parametrize("mode", ["per-bundle", MODE_AGGREGATE])
 def test_report_matches_the_id_walking_reference(mode):
     """Reports on random replica subsets equal the reference's, field by
-    field and in order, link flows included."""
-    compared = 0
+    field and in order, link flows included: on the small corpus and on
+    generated 10^3-node instances, whose subsets leave clients unserved,
+    servers over capacity and links over bandwidth. Served siblings
+    always share one server."""
+    instances = []
     for seed in range(80):
         cfg = small_corpus_config(seed)
         if seed % 4 == 3:
             cfg = GenConfig(seed=seed, internal=60, clients=90, capacity=25,
                             shape=("balanced", "path", "random")[seed % 3],
                             weight_range=(0, 6), qos_range=(1, 5), bandwidth_range=(2, 14))
-        inst = generate(cfg)
+        instances.append((seed, generate(cfg), 6))
+    for seed in range(6):
+        cfg = GenConfig(seed=seed, internal=400, clients=600, capacity=30, shape=SHAPES[seed % 3],
+                        weight_range=(0, 5), qos_range=(1, 10), bandwidth_range=(5, 20))
+        instances.append((seed, generate(cfg), 4))
+    compared = 0
+    kinds = {"unserved": 0, "capacity": 0, "bandwidth": 0}
+    for seed, inst, subsets in instances:
         internal = list(inst.internal_ids)
         rng = random.Random(seed)
-        for _ in range(6):
+        for _ in range(subsets):
             replicas = set(rng.sample(internal, rng.randint(0, len(internal))))
             got = verify_placement(inst, replicas, mode=mode)
             want = reference.verify_placement(inst, replicas, mode)
@@ -188,5 +198,13 @@ def test_report_matches_the_id_walking_reference(mode):
             assert list(got.server_loads.items()) == list(want["server_loads"].items())
             assert got.violations == want["violations"]
             assert got.link_flows == want["link_flows"]
+            bundle_servers: dict = {}
+            for client in clients_of(inst):
+                server = got.assignment[client.id]
+                if server is not None:
+                    assert bundle_servers.setdefault(client.parent, server) == server
+            for v in got.violations:
+                kinds[v.kind] += 1
             compared += 1
-    assert compared == 480
+    assert compared == 504
+    assert min(kinds.values()) > 100, kinds
