@@ -16,16 +16,17 @@ A finite ``c_row[i]`` for ``i > 0`` additionally requires the equip set
 to stay at its ``i = 0`` size; growing it would contradict subtree
 minimality, so such rows are ``inf``.
 
-Rows are computed for ``i <= min(depth(v), L + 1)`` where ``L`` is the
-largest leaf qos: beyond that index every child contribution is ``inf``
-(or 0 for empty bundles) and all rows are provably identical, so
-``table`` lists rows only up to that index: a deeper one reads as the last.
-
-Within that range a row is stored only where it differs from the row
-before it (a change point). A leaf has at most one: the hop where its
-bundle stops fitting. Row ``i`` of an internal node depends only on its
-children's values at ``i + 1`` and the bound, so row 0 is computed and
-row ``i >= 1`` only where one of those changes; memory stays within
+A row is stored only where it differs from the row before it (a change
+point). A leaf has at most one: the hop where its bundle stops fitting.
+Row ``i`` of an internal node depends only on its children's values at
+``i + 1`` and the bound, so row 0 is computed and row ``i >= 1`` only
+where one of those changes. Every change point of ``v`` lies at ``i <=
+min(depth(v), L + 1)``, where ``L`` is the largest leaf qos: a leaf's
+walk ends at the old root's zero-bandwidth link and one hop past its
+qos, and an internal node's change points are its children's one hop
+lower and its path bounds' drops. So phase 1 clips nothing. Past that
+index all rows are identical; listing rows only up to it, a deeper one
+reading as the last, is ``table``'s rule alone. Memory stays within
 N * (L + 2) cells and the greedy runs only on rows whose inputs changed.
 Each computed row is one call of the greedy kernel ``equip_row`` on the
 node's children as parallel lists (keys, values, eligibility).
@@ -136,7 +137,7 @@ class ContributionTable:
         star = self.star
         ids = star.ids
         v = star.index[node]
-        depth = star.depths[v]
+        depth = star.depth[node]
         segs = self.segments[v]
         if segs[-1][1] == INFINITE and star.weights[v] is None:
             ((_, segs),) = _internal_rows(star, self.segments, (v,), self._bounds, stop=False)
@@ -154,24 +155,25 @@ def _path_bounds(star: StarTree, limit: int) -> list:
 
     The bound at ``(v, i)`` is ``min(W, smallest bw on the i-edge path above
     v)``; it is W at ``i = 0`` and never rises with ``i``. Entry ``v`` lists
-    ``(i, bound)`` for each ``1 <= i <= min(depth(v), limit)`` where the
-    bound drops. A node's list is its parent's shifted one hop, clipped by
-    its own link, so one top-down pass fills every list.
+    ``(i, bound)`` for each ``1 <= i <= limit`` where the bound drops. A
+    node's list is its parent's shifted one hop, clipped by its own link,
+    so one top-down pass fills every list, and every drop has ``i <=
+    depth(v)`` as the path ends at the root. The clip at ``limit`` (L + 1)
+    is ``table``'s listing rule only: it keeps the lists short and changes
+    no row up to that index.
     """
     capacity = star.capacity
     bws = star.bws
     parents = star.parents
-    depths = star.depths
     weights = star.weights
     out: list = [None] * len(bws)
     out[star.root] = []
-    for v in star.preorder:
+    for v in star.order:
         if weights[v] is not None or v == star.root:
             continue
-        top = min(depths[v], limit)
         own = min(capacity, bws[v])
         drops = [(1, own)] if own < capacity else []
-        drops += [(i + 1, b) for i, b in out[parents[v]] if b < own and i < top]
+        drops += [(i + 1, b) for i, b in out[parents[v]] if b < own and i < limit]
         out[v] = drops
     return out
 
@@ -201,11 +203,9 @@ def _internal_rows(
     equipped and what is left, a merged bundle, weighs at most W.
     """
     capacity = star.capacity
-    limit = star.max_leaf_qos + 1
-    kids, eligible, depths = star.kids, star.eligibles, star.depths
+    kids, eligible = star.kids, star.eligibles
     plain: dict = {}  # (c, i) -> one shared list [(0, c, ()), (i, inf, ())]
     for v in nodes:
-        rows = min(depths[v], limit)
         below = kids[v]
         elig = [eligible[k] for k in below]
         current: list = []  # child values at index 0, at i + 1 once row i's changes are in
@@ -216,8 +216,6 @@ def _internal_rows(
             current.append(c)
             if len(segs) > 1:
                 for j, cj, _e in segs:
-                    if j > rows + 1:
-                        break
                     if cj != c:  # not just a new equip set
                         c = cj
                         changes.setdefault(j - 1, []).append((pos, cj))
@@ -271,33 +269,32 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    limit = star.max_leaf_qos + 1
     parents, bws, weights = star.parents, star.bws, star.weights
-    qoses, kids, depths = star.qoses, star.kids, star.depths
-    bounds = _path_bounds(star, limit) if mode == MODE_AGGREGATE else None
+    qoses, kids = star.qoses, star.kids
+    bounds = _path_bounds(star, star.max_leaf_qos + 1) if mode == MODE_AGGREGATE else None
 
     segments: list = [None] * len(weights)
     internal: list[int] = []  # children before parents
     shared: dict = {}  # (weight, cut or 0) -> the one list of all such leaves
-    for v in reversed(star.preorder):
+    for v in reversed(star.order):
         weight = weights[v]
         if weight is None:
             internal.append(v)
             continue
         # A leaf's row is its weight up to the first hop past the qos or
         # through a link narrower than the weight, infinite from there on;
-        # zero-demand bundles contribute 0 throughout.
+        # zero-demand bundles contribute 0 throughout. The old root's
+        # zero-bandwidth link ends every walk, so the cut is at most
+        # min(depth(v), L + 1).
         segs = [(0, weight, ())]
         if weight:
-            rows = min(depths[v], limit)
-            reach = min(rows, qoses[v])
+            reach = qoses[v]
             walker = v
             cut = 1
             while cut <= reach and bws[walker] >= weight:
                 walker = parents[walker]
                 cut += 1
-            if cut <= rows:
-                segs.append((cut, INFINITE, ()))
+            segs.append((cut, INFINITE, ()))
         segments[v] = shared.setdefault((weight, segs[-1][0]), segs)
 
     m_values = [0] * len(weights)

@@ -85,7 +85,7 @@ class StarTree:
     list: a star internal node keeps its own index, an eligible leaf the
     index of the parent it replaces (and its id), a merged leaf the index
     of its smallest client. The artificial root takes index ``len(nodes)``.
-    Clients folded into a bundle leave holes (``depths[v] == -1``). So
+    Clients folded into a bundle leave holes, which ``order`` skips. So
     index order is id order, and projecting a replica back onto the
     original tree is the identity on indices.
 
@@ -96,7 +96,7 @@ class StarTree:
 
     def __init__(self, capacity: int, ids: list[str], parents: list[int], bws: list, weights: list,
                  qoses: list[int], eligibles: list[bool], bundles: list, kids: list[tuple[int, ...]],
-                 depths: list[int], preorder: list[int], max_leaf_qos: int):
+                 order: list[int], max_leaf_qos: int):
         self.capacity = capacity
         self.ids = ids  # index -> id
         self.parents = parents  # -1 on the root and on holes
@@ -106,8 +106,7 @@ class StarTree:
         self.eligibles = eligibles  # may host a replica: internal nodes and eligible leaves
         self.bundles = bundles  # the bundled client indices (ascending) on leaves, None elsewhere
         self.kids = kids  # id-ordered child indices
-        self.depths = depths  # hops up to the root; -1 on holes
-        self.preorder = preorder  # parents before children, siblings in id order
+        self.order = order  # parents before children
         self.max_leaf_qos = max_leaf_qos
 
     @property
@@ -118,12 +117,12 @@ class StarTree:
     def index(self) -> dict[str, int]:
         """Star node id -> index."""
         ids = self.ids
-        return {ids[v]: v for v in self.preorder}
+        return {ids[v]: v for v in self.order}
 
     @cached_property
     def id_order(self) -> list[int]:
         """Star indices in ascending id order."""
-        return sorted(self.preorder, key=self.ids.__getitem__)
+        return sorted(self.order, key=self.ids.__getitem__)
 
     def _node(self, v: int) -> StarNode:
         ids = self.ids
@@ -148,7 +147,11 @@ class StarTree:
     @cached_property
     def depth(self) -> dict[str, int]:
         """Hop count from each node up to the artificial root (which is 0)."""
-        return {self.ids[v]: self.depths[v] for v in self.id_order}
+        hops = [0] * len(self.ids)
+        parents = self.parents
+        for v in self.order[1:]:
+            hops[v] = hops[parents[v]] + 1
+        return {self.ids[v]: hops[v] for v in self.id_order}
 
     @cached_property
     def leaves(self) -> tuple[StarNode, ...]:
@@ -247,22 +250,12 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     if heavy:
         raise InfeasibleError(REASON_BUNDLE, tuple(sorted(heavy)))
 
-    depths = [-1] * size
-    depths[root] = 0
-    preorder: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        below = kids[v]
-        if below:
-            d = depths[v] + 1
-            for c in below:
-                depths[c] = d
-            stack.extend(reversed(below))
+    order = [root]
+    for v in order:
+        order += kids[v]
 
     return StarTree(capacity, ids, parents, bws, weights, qoses, eligibles, bundles,
-                    kids, depths, preorder, max_qos)
+                    kids, order, max_qos)
 
 
 def star_to_document(star: StarTree) -> str:

@@ -9,7 +9,7 @@ no code with the program's own version:
 * ``precheck_client_links`` is the client screen that the transform
   runs inside its child-list pass;
 * ``verify_star_placement`` checks a replica set directly on a star tree;
-* ``root_workload_check`` is the root check as one full preorder pass
+* ``root_workload_check`` is the root check as one full top-down pass
   over the star tree, where the program walks down from the old root only;
 * ``dual_role_brute_force_min`` is the exhaustive minimum on the
   dual-role model, where every node may both demand and serve;
@@ -315,7 +315,7 @@ def verify_star_placement(
 def root_workload_check(result: PlacementResult) -> None:
     """The workload that stops at the old root, from every node's server.
 
-    One preorder pass carries each node's nearest equipped ancestor-or-self
+    One top-down pass carries each node's nearest equipped ancestor-or-self
     (-1: none below the artificial root); a replica listed on an ineligible
     leaf equips nothing. The old root's own load must fit the capacity when
     it is equipped; otherwise no demand may be left unabsorbed. Raises
@@ -331,7 +331,7 @@ def root_workload_check(result: PlacementResult) -> None:
     server = [-1] * len(parents)
     root_load = 0
     unabsorbed = 0
-    for v in itertools.islice(star.preorder, 1, None):
+    for v in itertools.islice(star.order, 1, None):
         s = v if v in equipped and eligibles[v] else server[parents[v]]
         server[v] = s
         weight = weights[v]
@@ -353,7 +353,7 @@ def min_bw_on_path(star: StarTree, node_id: str, hops: int) -> int | float:
     the path would run past the artificial root.
     """
     v = star.index[node_id]
-    if hops < 0 or hops > star.depths[v]:
+    if hops < 0 or hops > star.depth[node_id]:
         raise ValueError(f"path of {hops} hops from {node_id!r} is out of range")
     best: int | float = INFINITE
     for _ in range(hops):

@@ -69,7 +69,7 @@ def test_traced_solve_reads_the_program(tmp_path, capsys, fixture, mode):
     assert metrics["transform.eligible_leaves"] + metrics["transform.merged_leaves"] == len(
         out.star.leaves
     )
-    assert metrics["transform.max_depth"] == max(out.star.depths)
+    assert metrics["transform.max_depth"] == max(out.star.depth.values())
     assert metrics["contribution.L"] == out.star.max_leaf_qos
     assert metrics["contribution.cells"] >= len(out.star.nodes)
     assert metrics["placement.replicas"] == out.cardinality

@@ -85,6 +85,22 @@ def test_solve_reports_a_broken_root_check_as_one_error_line(capsys, monkeypatch
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+def test_solve_reports_a_failed_self_check_as_one_defect_line(tmp_path, capsys, monkeypatch, mode):
+    """A placement the independent verifier rejects is a solver defect: exit
+    1, one ``SOLVER DEFECT`` line naming a violation, and no document."""
+    verify = cli.verify_placement
+    monkeypatch.setattr(cli, "verify_placement", lambda inst, replicas, mode: verify(inst, set(), mode=mode))
+    dest = tmp_path / "out.json"
+    code, out, err = run(capsys, "solve", WORKED, "--mode", mode, "--out", str(dest))
+    assert code == 1
+    assert out == ""
+    lines = [line for line in err.splitlines() if line != AGGREGATE_NOTICE]
+    assert len(lines) == 1 and lines[0].startswith(f"SOLVER DEFECT: solution failed independent verification ({mode}): ")
+    assert "RuleViolation(kind='unserved'" in lines[0]
+    assert not dest.exists()
+
+
 def test_solve_aggregate_prints_notice(capsys):
     code, out, err = run(capsys, "solve", SHARED, "--mode", "aggregate")
     assert code == 0
@@ -336,8 +352,14 @@ _DUAL_ROOT = {"id": "a", "parent": None, "bw": 3, "demand": [2, 1]}
         {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": "a", "bw": 3, "demand": [1]}]},
         {"capacity": 9, "nodes": [_DUAL_ROOT, 5]},
         {"capacity": "x", "nodes": [_DUAL_ROOT]},
+        {"capacity": 9, "nodes": {"a": _DUAL_ROOT}},
+        {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "", "parent": "a", "bw": 3, "demand": [1, 1]}]},
+        {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "a", "parent": "a", "bw": 3, "demand": [1, 1]}]},
+        {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": 7, "bw": 3, "demand": [1, 1]}]},
+        {"capacity": 9, "nodes": [_DUAL_ROOT, {"id": "b", "parent": "a", "bw": 2.5, "demand": [1, 1]}]},
     ],
-    ids=["unknown-parent", "one-element-demand", "non-object-node", "string-capacity"],
+    ids=["unknown-parent", "one-element-demand", "non-object-node", "string-capacity",
+         "non-array-nodes", "empty-id", "duplicate-id", "non-string-parent", "non-integer-bw"],
 )
 def test_gen_fictivize_rejects_hostile_documents(tmp_path, capsys, doc):
     net = tmp_path / "net.json"

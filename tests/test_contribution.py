@@ -225,7 +225,7 @@ def test_phase1_reports_an_infinite_row_zero_as_a_defect(worked_example):
     made ineligible does, and phase 1 names the node instead of calling
     the instance infeasible."""
     star = transform_to_star(worked_example)
-    for v in star.preorder:
+    for v in star.order:
         if star.weights[v] is not None:
             star.eligibles[v] = False
     with pytest.raises(ContractViolationError, match=r"row 0 of '\w+'"):
@@ -336,7 +336,7 @@ def test_rows_past_zero_are_computed_only_where_inputs_change(monkeypatch):
             calls.append(e0_size) or real(keys, values, elig, bound, e0_size),
     )
     table = run_phase1(star)
-    internal = [v for v in star.preorder if star.weights[v] is None]
+    internal = [v for v in star.order if star.weights[v] is None]
     assert len(internal) == 3  # the artificial root, r and a
     assert calls == [None] * len(internal)  # row 0 only
     assert table.min_replica_count == 3
@@ -442,7 +442,7 @@ def _rows_past_the_stop(star, mode):
     table = run_phase1(star, mode=mode)
     ids = star.ids
     past = 0
-    for v in star.preorder:
+    for v in star.order:
         if star.weights[v] is not None:
             continue
         full = table.table(ids[v])
@@ -459,25 +459,49 @@ def _rows_past_the_stop(star, mode):
     return past
 
 
-@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
-def test_phase1_stops_only_where_every_later_row_is_infinite(mode):
-    """The stop's lemma, on the oracle corpus (seeds 0-499) and on
-    generated 10^3-node trees of each shape with mixed qos and narrow
-    links."""
-    past = 0
+def _corpus_stars():
+    """The star trees of the oracle corpus (seeds 0-499) and of generated
+    10^3-node trees of each shape with mixed qos and narrow links."""
     for seed in range(500):
         try:
-            star = transform_to_star(generate(small_corpus_config(seed)))
+            yield transform_to_star(generate(small_corpus_config(seed)))
         except InfeasibleError:
             continue
-        past += _rows_past_the_stop(star, mode)
     for seed in range(6):
         inst = generate(
             GenConfig(seed=seed, internal=400, clients=600, capacity=30, shape=SHAPES[seed % 3],
                       weight_range=(0, 5), qos_range=(1, 10), bandwidth_range=(5, 20))
         )
-        past += _rows_past_the_stop(transform_to_star(inst), mode)
+        yield transform_to_star(inst)
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_phase1_stops_only_where_every_later_row_is_infinite(mode):
+    """The stop's lemma, on the corpus of ``_corpus_stars``."""
+    past = sum(_rows_past_the_stop(star, mode) for star in _corpus_stars())
     assert past > 1000, past
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_every_change_point_lies_within_depth_and_L_plus_one(mode):
+    """Why phase 1 clips no row: every stored segment of ``v`` starts at
+    ``i <= min(depth(v), L + 1)``. A leaf's walk ends at the old root's
+    zero-bandwidth link and one hop past its qos; an internal node's change
+    points are its children's one hop lower and its path bounds' drops.
+    On the corpus of ``_corpus_stars``; both limits are reached."""
+    reached = {"depth": 0, "L + 1": 0}
+    for star in _corpus_stars():
+        segments = run_phase1(star, mode=mode).segments
+        depth = star.depth
+        top = star.max_leaf_qos + 1
+        for v in star.order:
+            d = depth[star.ids[v]]
+            last = segments[v][-1][0]
+            assert last <= min(d, top), (star.ids[v], segments[v], d, top)
+            if last:
+                reached["depth"] += last == d
+                reached["L + 1"] += last == top
+    assert min(reached.values()) > 0, reached
 
 
 @pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
@@ -491,7 +515,7 @@ def test_equal_stored_rows_share_one_list(mode):
     segments = run_phase1(star, mode=mode).segments
     lists: dict = {}  # (leaf, rows) -> ids of the list objects holding them
     nodes = {True: 0, False: 0}
-    for v in star.preorder:
+    for v in star.order:
         segs = segments[v]
         leaf = star.weights[v] is not None
         plain = len(segs) == 2 and segs[0][2] == () and segs[1][1] == INF

@@ -468,10 +468,12 @@ def _with(path, value):
         ('{"W": 3, "nodes": [' + _ROOTED + "], " + '"W": ' + _ROOTED + "}", "'W' must be an integer"),
         ('{"W": 3, "nodes": [' + _ROOTED + ', {"z": ' + _ROOTED + "}]}", "unknown node fields: ['z']"),
         ('{"W": 3, "nodes": [' + _ROOTED + '], "x": ' + _ROOTED + "}", "unknown document fields: ['x']"),
+        (_with(["nodes", 1, "bw"], 1.5), "field 'bw' of 'c' must be an integer"),
+        (_with(["nodes", 1, "q"], "2"), "field 'q' of 'c' must be an integer"),
     ],
     ids=["node-as-W", "node-as-kind", "node-as-id", "node-as-parent", "node-as-document",
          "syntax-error-after-nodes", "extra-data", "entry-not-an-object", "duplicate-W",
-         "node-in-unknown-field", "node-in-unknown-document-field"],
+         "node-in-unknown-field", "node-in-unknown-document-field", "float-bw", "string-q"],
 )
 def test_hook_specific_malformed_documents_keep_their_message(text, message):
     with pytest.raises(MalformedDocumentError) as err:

@@ -61,7 +61,7 @@ def test_result_trace_follows_the_walk(worked_example):
     assert star.ids[kids[d][-1]] == "y"
     kids[d] = kids[d][:-1]
     cut = StarTree(star.capacity, star.ids, star.parents, star.bws, star.weights, star.qoses,
-                   star.eligibles, star.bundles, kids, star.depths, star.preorder, star.max_leaf_qos)
+                   star.eligibles, star.bundles, kids, star.order, star.max_leaf_qos)
     cut_table = copy.copy(result.table)
     cut_table.star = cut
     shorter = PlacementResult(result.placed, cut_table)
@@ -213,7 +213,7 @@ def test_placement_reads_no_replica_free_subtree(mode):
         blind.segments = [segs if m else _Unreadable(v)
                           for v, (segs, m) in enumerate(zip(table.segments, table.m))]
         assert place_replicas(blind).placed == place_replicas(table).placed
-        blinded += sum(1 for v in star.preorder if not table.m[v])
+        blinded += sum(1 for v in star.order if not table.m[v])
     assert blinded > 3_000, blinded
 
 
@@ -228,7 +228,7 @@ def _root_check_outcome(check, result: PlacementResult) -> str | None:
 @pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
 def test_root_check_matches_the_preorder_reference(mode):
     """The walk down from the old root passes, or raises with the same
-    message, exactly where the full preorder pass does: on every
+    message, exactly where the full top-down pass does: on every
     small-corpus placement, with each replica dropped in turn (the old
     root's among them), and with every merged bundle listed as a replica
     as well, which equips nothing."""
@@ -236,7 +236,7 @@ def test_root_check_matches_the_preorder_reference(mode):
     for star in _small_corpus_stars():
         result = place_replicas(run_phase1(star, mode=mode))
         (old_root,) = star.kids[star.root]
-        merged = [v for v in star.preorder if star.weights[v] is not None and not star.eligibles[v]]
+        merged = [v for v in star.order if star.weights[v] is not None and not star.eligibles[v]]
         doctored = [result.placed, sorted(result.placed + merged)]
         for gone in result.placed:
             kept = [r for r in result.placed if r != gone]

@@ -110,6 +110,27 @@ def test_depths(worked_example):
     assert d["l"] == 4 and d["p"] == 4 and d["x"] == 3
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_solve_builds_no_depth(worked_example, shared_link, mode):
+    """Phase 1, placement and the root check read no depth, so a solve
+    leaves the ``depth`` view unbuilt. ``order`` starts at the root and
+    lists every star node that is not a hole once, each after its parent."""
+    insts = [worked_example, shared_link]
+    insts += [generate(GenConfig(seed=seed, internal=400, clients=600, capacity=60, shape=shape,
+                                 bandwidth_range=(8, 20)))
+              for seed, shape in enumerate(SHAPES)]
+    for inst in insts:
+        star = solve_instance(inst, mode=mode).star
+        assert "depth" not in vars(star)
+        assert star.order[0] == star.root
+        seen = {star.root}
+        for v in star.order[1:]:
+            assert star.parents[v] in seen and v not in seen, star.ids[v]
+            seen.add(v)
+        assert len(seen) == len(star.order)
+        assert seen == {v for v, up in enumerate(star.parents) if up >= 0} | {star.root}
+
+
 def test_precheck_failure_raises_link_reason():
     inst = build(
         10,
