@@ -1,8 +1,8 @@
 """Reference specifications the tests compare the program with.
 
-Each function here states a rule the plain way, on the ``NodeSpec`` view
-and the id-keyed maps of ``nodes_by_id`` and ``clients_of``, and shares
-no code with the program's own version:
+Each function here states a rule the plain way, most of them on the
+``NodeSpec`` view and the id-keyed maps of ``nodes_by_id`` and
+``clients_of``, and shares no code with the program's own version:
 
 * ``validate_instance`` and ``verify_placement`` walk ``NodeSpec``
   objects by id, as the program did before it ran on per-index columns;
@@ -15,15 +15,17 @@ no code with the program's own version:
   dual-role model, where every node may both demand and serve;
 * ``min_bw_on_path`` and ``leaf_contribution`` are the leaf row formula
   that phase 1 inlines as an upward walk;
-* ``greedy_e_set`` and ``internal_node_update`` are the internal row rule
-  that phase 1's ``equip_row`` kernel computes in one call.
+* ``CountLoadDP`` is the exact minimum count, and the least load at each
+  count, by a dynamic program over the original tree's columns. It uses no
+  star tree and no greedy, so it checks phase 1's values, which the one
+  greedy kernel, ``contribution.equip_row``, computes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 from treeplace.errors import ContractViolationError, GuardExceededError, StructureError
 from treeplace.instance import (
@@ -37,9 +39,11 @@ from treeplace.instance import (
     Violation,
 )
 from treeplace.oracle import DEFAULT_MAX_INTERNAL, OracleResult
-from treeplace.placement import PlacementResult
-from treeplace.transform import StarLeaf, StarTree
 from treeplace.verifier import RuleViolation
+
+if TYPE_CHECKING:  # annotations only: the module imports no solver stage
+    from treeplace.placement import PlacementResult
+    from treeplace.transform import StarLeaf, StarTree
 
 INFINITE = math.inf
 
@@ -376,52 +380,142 @@ def leaf_contribution(leaf: StarLeaf, hops: int, path_min_bw: int | float) -> in
     return INFINITE
 
 
-class GreedyResult(NamedTuple):
-    selected: tuple  # chosen keys, ascending
-    residual: int | float  # sum of the contributions left outside the set
-    exhausted: bool  # ran out of eligible children while still over bound
+# --- the exact count/load DP ------------------------------------------------
+#
+# A curve is ``(lo, loads)``: the least load at each replica count ``k`` from
+# ``lo`` on, infinite below ``lo``, with the last entry standing for every
+# larger count; None is infinite at every count. Equipping one more node never
+# breaks a feasible placement and never adds load, so the exact values fall
+# with ``k``; a curve holds them up to the count where they stop falling.
 
 
-def greedy_e_set(items: Iterable[tuple], bound: int | float) -> GreedyResult:
-    """Equip children greedily until the residual fits under ``bound``.
+def _curve(lo: int, loads: list) -> tuple[int, list]:
+    while len(loads) > 1 and loads[-2] == loads[-1]:
+        loads.pop()
+    return lo, loads
 
-    ``items`` yields ``(key, contribution, eligible)`` triples in any
-    order. While the residual sum exceeds the bound, the eligible child
-    with the largest contribution is moved into the set (ties: smallest
-    key). If eligible children run out first the result is marked
-    exhausted; the partial set is still reported.
+
+def _at(curve, k: int) -> int | float:
+    if curve is None or k < curve[0]:
+        return INFINITE
+    lo, loads = curve
+    return loads[min(k - lo, len(loads) - 1)]
+
+
+def _min_plus(a, b):
+    """The tree-knapsack merge: the least ``a(x) + b(y)`` over ``x + y = k``."""
+    if a is None or b is None:
+        return None
+    out = [INFINITE] * (len(a[1]) + len(b[1]) - 1)
+    for x, ca in enumerate(a[1]):
+        for k, cb in enumerate(b[1], x):
+            if ca + cb < out[k]:
+                out[k] = ca + cb
+    return _curve(a[0] + b[0], out)
+
+
+def _capped(curve, add: int, bound: int | float, shift: int = 0):
+    """``curve`` with ``add`` on every load and ``shift`` on every count;
+    a load over ``bound`` is infinite (as loads fall, those lead the list)."""
+    if curve is None:
+        return None
+    lo, loads = curve
+    fits = [c + add for c in loads if c + add <= bound]
+    return _curve(lo + len(loads) - len(fits) + shift, fits) if fits else None
+
+
+def _or_equipped(pushed, equipped):
+    """``pushed``, but 0 from the least count at which the node may be equipped."""
+    if equipped is None:
+        return pushed
+    if pushed is None or pushed[0] >= equipped[0]:
+        return (equipped[0], [0])
+    lo = pushed[0]
+    return _curve(lo, [_at(pushed, k) for k in range(lo, equipped[0])] + [0])
+
+
+class CountLoadDP:
+    """The exact minimum replica count, by a dynamic program over the
+    original tree that uses no star tree and no greedy.
+
+    The state is an internal node ``v``, the distance ``i`` from ``v`` to its
+    nearest equipped strict ancestor, and the count ``k`` of replicas in
+    ``v``'s subtree. ``i`` runs over ``1..top``, where ``top`` is the largest
+    client qos; ``top`` also stands for every larger distance and for "no
+    equipped ancestor", as no client reaches that far. ``v``'s clients form
+    its bundle. Equipped, ``v`` takes its bundle and its children's loads
+    at distance 1, which must fit W, and pushes nothing. Not equipped, it
+    pushes its bundle and its children's loads at distance ``i + 1``:
+    every demanding client of ``v`` needs ``q > i``, the bundle must fit the
+    smallest bw on the ``i`` links above ``v``, and the pushed load must
+    fit W and, in aggregate mode, that same path minimum, since every unit
+    of it crosses those links. Children merge by min-plus convolution over
+    ``k``, the tree-knapsack technique of Johnson & Niemi (Math. Oper. Res.
+    1983). The least load suffices, as loads meet only upper bounds.
+
+    Reads the instance's columns and ``parent_index`` only; the instance
+    must be valid. ``minimum`` is None when no replica set is feasible.
     """
-    left = list(items)
-    chosen: list = []
-    while True:
-        residual = sum(c for _k, c, _e in left)
-        if residual != INFINITE and residual <= bound:
-            return GreedyResult(tuple(sorted(chosen)), residual, False)
-        pool = [e for e in left if e[2]]
-        if not pool:
-            return GreedyResult(tuple(sorted(chosen)), residual, True)
-        best = min(pool, key=lambda e: (-e[1], e[0]))
-        left.remove(best)
-        chosen.append(best[0])
 
+    def __init__(self, inst: NetworkInstance, mode: str):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        ups, capacity = inst.parent_index, inst.capacity
+        top = max(q for q, kind in zip(inst.qs, inst.kinds) if kind == KIND_CLIENT)
+        internal = [v for v, kind in enumerate(inst.kinds) if kind != KIND_CLIENT]
+        kids: dict[int, list[int]] = {v: [] for v in internal}
+        for v in internal:
+            if ups[v] >= 0:
+                kids[ups[v]].append(v)
+        bundle = dict.fromkeys(internal, 0)
+        reach: dict[int, int] = {}  # smallest qos of a demanding client, per parent
+        links_fit = True
+        for kind, up, bw, w, q in zip(inst.kinds, ups, inst.bws, inst.ws, inst.qs):
+            if kind == KIND_CLIENT and w:
+                bundle[up] += w
+                reach[up] = min(reach.get(up, q), q)
+                links_fit = links_fit and w <= bw
+        order = [ups.index(-1)]
+        for v in order:
+            order += kids[v]
+        # path[v][i]: the smallest bw on the i links above v (fewer past the root)
+        path = {order[0]: [INFINITE] * (top + 1)}
+        for v in order[1:]:
+            path[v] = [INFINITE] + [min(inst.bws[v], b) for b in path[ups[v]][:top]]
 
-def internal_node_update(
-    children: Iterable[tuple],
-    hops: int,
-    bound: int | float,
-    e0_size: int | None = None,
-) -> tuple[tuple, int | float]:
-    """One table row for an internal node, ``(equip set, c)``.
+        self._index = {inst.ids[v]: v for v in internal}
+        self._equipped: dict[int, tuple | None] = {}
+        self._pushed: dict[int, list] = {}
+        best: dict[int, list] = {}  # v -> curve at each i, v equipped or not
+        for v in reversed(order):
+            sums = [None]
+            for i in range(1, top + 1):
+                total = (0, [0])
+                for u in kids[v]:
+                    total = _min_plus(total, best[u][i])
+                sums.append(total)
+            load = bundle[v]
+            equipped = self._equipped[v] = _capped(sums[1], load, capacity, shift=1)
+            pushed = self._pushed[v] = [None]
+            for i in range(1, top + 1):
+                if load and (reach[v] <= i or load > path[v][i]):
+                    pushed.append(None)
+                    continue
+                bound = min(capacity, path[v][i]) if mode == MODE_AGGREGATE else capacity
+                pushed.append(_capped(sums[min(i + 1, top)], load, bound))
+            best[v] = [_or_equipped(c, equipped) for c in pushed]
+        self._top = top
+        final = best[order[0]][top]
+        self.minimum = final[0] if links_fit and final is not None else None
 
-    ``children`` carries ``(child key, contribution at hops+1, eligible)``.
-    An exhausted greedy marks the row infinite at every index; at deeper
-    indices so does an equip set that is not the ``hops = 0`` size
-    ``e0_size``.
-    """
-    result = greedy_e_set(children, bound)
-    if result.exhausted or (hops > 0 and len(result.selected) != e0_size):
-        return result.selected, INFINITE
-    return result.selected, result.residual
+    def equipped_load(self, node: str, k: int) -> int | float:
+        """The least load on ``node`` when it is equipped and its subtree holds ``k`` replicas."""
+        return _at(self._equipped[self._index[node]], k)
+
+    def pushed_load(self, node: str, i: int, k: int) -> int | float:
+        """The least load ``node``'s subtree pushes to an equipped ancestor ``i >= 1``
+        hops above it, with ``node`` not equipped and ``k`` replicas in the subtree."""
+        return _at(self._pushed[self._index[node]][min(i, self._top)], k)
 
 
 # --- dual-role networks -------------------------------------------------------

@@ -594,6 +594,13 @@ def test_start_up_loads_no_process_pool():
     assert fresh_interpreter(probe) == "[]\n"
 
 
+def test_an_unknown_public_name_is_an_attribute_error():
+    import treeplace
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        treeplace.no_such_name
+
+
 def test_every_public_name_resolves_on_first_access():
     probe = (
         "import sys, treeplace as t; loaded = 'treeplace.generator' in sys.modules; "
@@ -651,6 +658,16 @@ def test_compare_bad_seed_spec(capsys):
     assert "bad seed range" in err
 
 
+def test_compare_empty_seed_range(capsys):
+    assert run(capsys, "compare", "--seeds", "5:3") == (1, "", "error: empty seed range\n")
+
+
+def test_compare_reports_a_disagreement_and_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_instance", lambda inst: PlacementResult([], None))
+    code, out, _ = run(capsys, "compare", "--seeds", "3", "--jobs", "1")  # seed 3 needs 2
+    assert (code, out) == (2, "seed 3: DISAGREE solver=0 oracle=2\nagreed 0/1\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -667,6 +684,7 @@ def test_compare_bad_seed_spec(capsys):
         ("bench", "--sizes", "0"),
         ("bench", "--sizes", "-5"),
         ("gen", "--dual-role", "--capacity", "0"),
+        ("gen", "--dual-role", "--internal", "0"),
     ],
 )
 def test_out_of_range_numbers_give_one_error_line(capsys, argv):

@@ -171,6 +171,14 @@ def test_map_rejects_ineligible_leaf(worked_example):
         place_replicas(table)
 
 
+def test_a_count_the_tables_do_not_keep_is_a_defect(worked_example):
+    """Placement checks the replicas it finds against the tables' count."""
+    table = run_phase1(transform_to_star(worked_example))
+    table.min_replica_count += 1
+    with pytest.raises(ContractViolationError, match="placed 7 replicas, tables promised 8"):
+        place_replicas(table)
+
+
 def _small_corpus_stars():
     """The star trees of the feasible small-corpus seeds 0-499."""
     for seed in range(500):
