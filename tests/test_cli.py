@@ -171,6 +171,24 @@ def test_solve_trace_matches_stored_text(capsys, fixture, mode):
     assert out == (GOLDEN / f"solve-trace.{fixture}.{mode}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+def test_solve_trace_of_a_random_300_node_document_matches_stored_text(capsys, mode):
+    """The trace visits each node's children in child-list order, so this
+    pins the star's child lists on a tree with merged leaves at many nodes."""
+    code, out, _ = run(capsys, "solve", str(GOLDEN / "random300.json"), "--mode", mode, "--trace")
+    assert code == 0
+    assert out == (GOLDEN / f"solve-trace.random300.{mode}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("document", ["worked_example", "shared_link", "random300"])
+def test_transform_matches_stored_text(capsys, document):
+    """The star-tree document, pinned byte for byte."""
+    path = GOLDEN / "random300.json" if document == "random300" else FIXTURES / f"{document}.json"
+    code, out, _ = run(capsys, "transform", str(path))
+    assert code == 0
+    assert out == (GOLDEN / f"transform.{document}.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_solve_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled):
     import gc

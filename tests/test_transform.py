@@ -131,6 +131,32 @@ def test_a_solve_builds_no_depth(worked_example, shared_link, mode):
         assert seen == {v for v, up in enumerate(star.parents) if up >= 0} | {star.root}
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_child_lists_are_the_internal_children_plus_the_merged_leaf(shape):
+    """Each star internal node lists its original internal children and, if
+    it also has clients, its merged leaf (its smallest client), in id order;
+    the artificial root lists the old root. Leaves and holes list nothing."""
+    inst = generate(GenConfig(seed=5, internal=400, clients=600, capacity=60, shape=shape,
+                              bandwidth_range=(8, 20)))
+    star = transform_to_star(inst)
+    inner = collections.defaultdict(list)
+    clients = collections.defaultdict(list)
+    for v, (kind, up) in enumerate(zip(inst.kinds, inst.parent_index)):
+        (clients if kind == KIND_CLIENT else inner)[up].append(inst.ids[v])
+    merged = 0
+    for v, node in enumerate(star.ids):
+        kids = [star.ids[k] for k in star.kids[v]]
+        if v == star.root:
+            assert kids == inner[-1]
+        elif star.weights[v] is None and star.parents[v] >= 0:
+            expect = inner[inst.index[node]] + clients[inst.index[node]][:1]
+            assert kids == sorted(expect), node
+            merged += bool(clients[inst.index[node]])
+        else:
+            assert kids == [], node
+    assert merged > 0
+
+
 def test_precheck_failure_raises_link_reason():
     inst = build(
         10,
