@@ -71,27 +71,26 @@ def equip_row(
     ``c`` infinite at every row; at a deeper row, so does an equip set
     whose size is not row 0's ``e0_size``.
     """
-    total = sum(values)  # inf when some child cannot be absorbed
-    if total <= bound and total != INFINITE:
-        return (), INFINITE if e0_size else total
-    infinites = values.count(INFINITE)
-    residual = sum([c for c in values if c != INFINITE]) if infinites else total
-    # Largest contribution first, ties in key order.
-    candidates = sorted([(-c, k) for k, c, e in zip(keys, values, eligible) if e])
+    residual = sum(values)  # inf when some child cannot be absorbed
     chosen: list = []
-    pos = 0
-    while infinites or residual > bound:
-        if pos == len(candidates):
-            chosen.sort()
-            return tuple(chosen), INFINITE
-        neg, key = candidates[pos]
-        pos += 1
-        if neg == -INFINITE:
-            infinites -= 1
-        else:
-            residual += neg
-        chosen.append(key)
-    chosen.sort()
+    if residual > bound or residual == INFINITE:
+        infinites = values.count(INFINITE)
+        residual = sum([c for c in values if c != INFINITE]) if infinites else residual
+        # Largest contribution first, ties in key order.
+        candidates = sorted([(-c, k) for k, c, e in zip(keys, values, eligible) if e])
+        pos = 0
+        while infinites or residual > bound:
+            if pos == len(candidates):
+                chosen.sort()
+                return tuple(chosen), INFINITE
+            neg, key = candidates[pos]
+            pos += 1
+            if neg == -INFINITE:
+                infinites -= 1
+            else:
+                residual += neg
+            chosen.append(key)
+        chosen.sort()
     return tuple(chosen), residual if e0_size in (None, len(chosen)) else INFINITE
 
 
@@ -150,18 +149,19 @@ class ContributionTable:
         return NodeTable(node, depth, tuple(c_row), tuple(e_row), self.m[v])
 
 
-def _path_bounds(star: StarTree, limit: int) -> list:
+def _path_bounds(star: StarTree) -> list:
     """Aggregate-mode greedy bounds, as change points, for every internal node.
 
     The bound at ``(v, i)`` is ``min(W, smallest bw on the i-edge path above
     v)``; it is W at ``i = 0`` and never rises with ``i``. Entry ``v`` lists
-    ``(i, bound)`` for each ``1 <= i <= limit`` where the bound drops. A
-    node's list is its parent's shifted one hop, clipped by its own link,
-    so one top-down pass fills every list, and every drop has ``i <=
-    depth(v)`` as the path ends at the root. The clip at ``limit`` (L + 1)
-    is ``table``'s listing rule only: it keeps the lists short and changes
-    no row up to that index.
+    ``(i, bound)`` for each ``1 <= i <= L + 1`` where the bound drops, with
+    ``L = star.max_leaf_qos``. A node's list is its parent's shifted one
+    hop, clipped by its own link, so one top-down pass fills every list,
+    and every drop has ``i <= depth(v)`` as the path ends at the root. The
+    clip at L + 1 is ``table``'s listing rule only: it keeps the lists
+    short and changes no row up to that index.
     """
+    limit = star.max_leaf_qos + 1
     capacity = star.capacity
     bws = star.bws
     parents = star.parents
@@ -204,7 +204,6 @@ def _internal_rows(
     """
     capacity = star.capacity
     kids, eligible = star.kids, star.eligibles
-    plain: dict = {}  # (c, i) -> one shared list [(0, c, ()), (i, inf, ())]
     for v in nodes:
         below = kids[v]
         elig = [eligible[k] for k in below]
@@ -246,8 +245,6 @@ def _internal_rows(
                 e, c = equip_row(below, current, elig, bound, e0_size)
             if stop and c == INFINITE:  # row i - 1 was finite
                 segs.append((i, INFINITE, ()))
-                if len(segs) == 2 and not last_e:  # the usual shape: equips nothing, then stops
-                    segs = plain.setdefault((last_c, i), segs)
                 break
             if c != last_c or e != last_e:
                 segs.append((i, c, e))
@@ -271,11 +268,11 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
         raise ValueError(f"unknown mode {mode!r}")
     parents, bws, weights = star.parents, star.bws, star.weights
     qoses, kids = star.qoses, star.kids
-    bounds = _path_bounds(star, star.max_leaf_qos + 1) if mode == MODE_AGGREGATE else None
+    bounds = _path_bounds(star) if mode == MODE_AGGREGATE else None
 
     segments: list = [None] * len(weights)
     internal: list[int] = []  # children before parents
-    shared: dict = {}  # (weight, cut or 0) -> the one list of all such leaves
+    shared: dict = {}  # (c, i) -> the one list [(0, c, ()), (i, inf, ())]; (0, 0) -> [(0, 0, ())]
     for v in reversed(star.order):
         weight = weights[v]
         if weight is None:
@@ -299,6 +296,8 @@ def run_phase1(star: StarTree, mode: str = MODE_PER_BUNDLE) -> ContributionTable
 
     m_values = [0] * len(weights)
     for v, segs in _internal_rows(star, segments, internal, bounds, stop=True):
+        if len(segs) == 2 and segs[1][1] == INFINITE and not segs[0][2]:
+            segs = shared.setdefault((segs[0][1], segs[1][0]), segs)
         segments[v] = segs
         m_values[v] = sum([m_values[k] for k in kids[v]]) + len(segs[0][2])
     return ContributionTable(star, segments, m_values, bounds)

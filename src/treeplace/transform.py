@@ -89,13 +89,14 @@ class StarTree:
     index order is id order, and projecting a replica back onto the
     original tree is the identity on indices.
 
+    ``kids`` holds the lists the transform groups the internal children in,
+    each with its merged leaf inserted in id order; treat them as read-only.
     The solver stages read the arrays. The id-keyed views (``index``,
-    ``nodes``, ``depth``, ``leaves``) are built on first read
-    only.
+    ``nodes``, ``depth``, ``leaves``) are built on first read only.
     """
 
     def __init__(self, capacity: int, ids: list[str], parents: list[int], bws: list, weights: list,
-                 qoses: list[int], eligibles: list[bool], bundles: list, kids: list[tuple[int, ...]],
+                 qoses: list[int], eligibles: list[bool], bundles: list, kids: list[list[int] | tuple],
                  order: list[int], max_leaf_qos: int):
         self.capacity = capacity
         self.ids = ids  # index -> id
@@ -105,7 +106,7 @@ class StarTree:
         self.qoses = qoses  # bundle qos on leaves
         self.eligibles = eligibles  # may host a replica: internal nodes and eligible leaves
         self.bundles = bundles  # the bundled client indices (ascending) on leaves, None elsewhere
-        self.kids = kids  # id-ordered child indices
+        self.kids = kids  # id-ordered child index lists on internal nodes, () elsewhere
         self.order = order  # parents before children
         self.max_leaf_qos = max_leaf_qos
 
@@ -174,12 +175,12 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     require_valid(inst)
     kinds, ws, qs, capacity = inst.kinds, inst.ws, inst.qs, inst.capacity
     root = len(kinds)
-    ups = [root if up < 0 else up for up in inst.parent_index]  # the old root hangs below r+
-    # the original child lists, split by kind, id-ordered because the indices are
-    client_kids: list = [None] * (root + 1)
-    inner_kids: list = [None] * (root + 1)
+    # the original child lists, split by kind, id-ordered because the indices are; the
+    # old root's parent index -1 files it under r+, and the internal lists are the star's
+    client_kids: list = [()] * (root + 1)
+    kids: list = [()] * (root + 1)
     findings: list[PrecheckFinding] = []
-    for v, kind, up, bw, w in zip(range(root), kinds, ups, inst.bws, ws):
+    for v, kind, up, bw, w in zip(range(root), kinds, inst.parent_index, inst.bws, ws):
         if kind == KIND_CLIENT:
             if w > bw:
                 findings.append(PrecheckFinding(inst.ids[v], "link-bandwidth", w, bw))
@@ -187,11 +188,11 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
                 findings.append(PrecheckFinding(inst.ids[v], "capacity", w, capacity))
             lists = client_kids
         else:
-            lists = inner_kids
-        if lists[up] is None:
-            lists[up] = [v]
-        else:
+            lists = kids
+        if lists[up]:
             lists[up].append(v)
+        else:
+            lists[up] = [v]
     if findings:
         link = any(f.kind == "link-bandwidth" for f in findings)
         raise InfeasibleError(REASON_LINK if link else REASON_CAPACITY, tuple(findings))
@@ -204,26 +205,21 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     qoses = [0] * size
     eligibles = [True] * size
     bundles: list = [None] * size
-    kids: list[tuple[int, ...]] = [()] * size
-    kids[root] = tuple(inner_kids[root])
     heavy: list[tuple[str, int]] = []
     max_qos = 0
-    for v, kind, up, bw in zip(range(root), kinds, ups, inst.bws):
+    for v, kind, up, bw in zip(range(root), kinds, inst.parent_index, inst.bws):
         if kind == KIND_CLIENT:
             continue
         parents[v] = up
-        bws[v] = 0 if up == root else bw
-        inner = inner_kids[v]
+        bws[v] = bw
         clients = client_kids[v]
-        if inner is None:
+        if not kids[v]:
             leaf = v  # suppressed: the node itself becomes an eligible leaf
-        elif clients is None:
-            kids[v] = tuple(inner)
+        elif not clients:
             continue
         else:
             leaf = clients[0]  # compressed: a merged leaf behind an unbounded link
-            insort(inner, leaf)
-            kids[v] = tuple(inner)
+            insort(kids[v], leaf)
             parents[leaf] = v
             bws[leaf] = UNBOUNDED
             eligibles[leaf] = False
@@ -249,6 +245,8 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
             heavy.append((ids[leaf], weight))
     if heavy:
         raise InfeasibleError(REASON_BUNDLE, tuple(sorted(heavy)))
+    (old_root,) = kids[root]  # hangs below r+, behind a zero-bandwidth link
+    parents[old_root], bws[old_root] = root, 0
 
     order = [root]
     for v in order:

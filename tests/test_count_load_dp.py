@@ -6,6 +6,8 @@ shares no idea with phase 1 beyond the problem itself. It reaches sizes the
 brute-force oracle cannot.
 """
 
+import random
+
 import pytest
 
 from treeplace.contribution import INFINITE, run_phase1
@@ -15,6 +17,7 @@ from treeplace.instance import ARTIFICIAL_ROOT_ID, MODE_AGGREGATE, MODE_PER_BUND
 from treeplace.oracle import brute_force_min
 from treeplace.solver import solve_instance
 from treeplace.transform import transform_to_star
+from tests import hunt_aggregate
 from tests.reference import CountLoadDP
 
 
@@ -85,3 +88,19 @@ def test_every_phase1_cell_is_the_dp_least_load_at_the_tables_count(mode):
                 finite += c != INFINITE
             cells += depth[node]
     assert cells > 100_000 and finite > 10_000, (cells, finite)
+
+
+def test_the_hunt_runs_its_first_draws():
+    """A smoke test of ``tests/hunt_aggregate.py``, which runs outside Tier-1:
+    its first 20 draws of seed 0 meet ``CountLoadDP`` in both modes, and the
+    draws include feasible instances whose two modes differ."""
+    rng = random.Random(0)
+    feasible = differ = 0
+    for k in range(20):
+        inst = generate(hunt_aggregate.draw(rng, seed=k))
+        exact = {mode: CountLoadDP(inst, mode).minimum for mode in MODES}
+        for mode in MODES:
+            assert hunt_aggregate.solver_count(inst, mode) == exact[mode], (k, mode)
+        feasible += exact[MODE_PER_BUNDLE] is not None
+        differ += exact[MODE_PER_BUNDLE] != exact[MODE_AGGREGATE]
+    assert feasible > 0 and differ > 0, (feasible, differ)
