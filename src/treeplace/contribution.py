@@ -75,7 +75,8 @@ def equip_row(
     chosen: list = []
     if residual > bound or residual == INFINITE:
         infinites = values.count(INFINITE)
-        residual = sum([c for c in values if c != INFINITE]) if infinites else residual
+        if infinites:
+            residual = sum([c for c in values if c != INFINITE])
         # Largest contribution first, ties in key order.
         candidates = sorted([(-c, k) for k, c, e in zip(keys, values, eligible) if e])
         pos = 0

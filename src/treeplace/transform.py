@@ -175,8 +175,8 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     require_valid(inst)
     kinds, ws, qs, capacity = inst.kinds, inst.ws, inst.qs, inst.capacity
     root = len(kinds)
-    # the original child lists, split by kind, id-ordered because the indices are; the
-    # old root's parent index -1 files it under r+, and the internal lists are the star's
+    # the original child lists, split by kind, id-ordered because the indices are; the old
+    # root's parent index -1 files it under r+, and the internal ones become the star's kids
     client_kids: list = [()] * (root + 1)
     kids: list = [()] * (root + 1)
     findings: list[PrecheckFinding] = []
