@@ -250,8 +250,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from .generator import GenConfig, fictivize, generate_dual_role, parse_dual_role, serialize_dual_role
 
     if args.fictivize is not None:
-        net = parse_dual_role(_read_text(args.fictivize))
-        inst = fictivize(net)
+        # nothing holds the text or the parsed network past the call that reads it
+        inst = fictivize(parse_dual_role(_read_text(args.fictivize)))
         require_valid(inst)
         # a stand-in client's link (the summed demand) or q + 1 may be past the digit limit for text
         _text(str, max(filter(None, inst.bws + inst.qs)))

@@ -118,6 +118,15 @@ def _skeleton(cfg: GenConfig, getrandbits) -> dict[str, str | None]:
 
 def generate(cfg: GenConfig) -> NetworkInstance:
     cfg.check()
+    # the helper's draws are freed before the sort, and its unsorted columns before validation
+    inst = NetworkInstance(cfg.capacity, *_draw_columns(cfg))
+    if inst.violations:  # pragma: no cover - would be a generator bug
+        raise ConfigError(f"generated an invalid instance: {inst.violations[0].message}")
+    return inst
+
+
+def _draw_columns(cfg: GenConfig) -> tuple[list, ...]:
+    """The six columns of ``cfg``'s instance, internal nodes first, not in id order."""
     getrandbits = random.Random(cfg.seed).getrandbits
     parents = _skeleton(cfg, getrandbits)
     internal_ids = sorted(parents)
@@ -146,10 +155,7 @@ def generate(cfg: GenConfig) -> NetworkInstance:
     ws = [None] * n_int + [w_lo + r for r in drawn[1::3]]
     qs = [None] * n_int + [q_lo + r for r in drawn[2::3]]
     kinds = [KIND_INTERNAL] * n_int + [KIND_CLIENT] * len(hosts)
-    inst = NetworkInstance(cfg.capacity, ids, up_ids, kinds, bws, ws, qs)
-    if inst.violations:  # pragma: no cover - would be a generator bug
-        raise ConfigError(f"generated an invalid instance: {inst.violations[0].message}")
-    return inst
+    return ids, up_ids, kinds, bws, ws, qs
 
 
 def small_corpus_config(
