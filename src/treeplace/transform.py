@@ -85,7 +85,8 @@ class StarTree:
     list: a star internal node keeps its own index, an eligible leaf the
     index of the parent it replaces (and its id), a merged leaf the index
     of its smallest client. The artificial root takes index ``len(nodes)``.
-    Clients folded into a bundle leave holes, which ``order`` skips. So
+    Clients folded into a bundle leave holes, which ``order`` skips; a
+    hole keeps its client's link in ``bws``, and nothing reads it. So
     index order is id order, and projecting a replica back onto the
     original tree is the identity on indices.
 
@@ -200,18 +201,16 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
     ids = inst.ids + [ARTIFICIAL_ROOT_ID]
     size = root + 1
     parents = [-1] * size
-    bws: list = [None] * size
+    bws: list = inst.bws + [None]  # the instance's links; only the normalized ones change
     weights: list = [None] * size
     qoses = [0] * size
     eligibles = [True] * size
     bundles: list = [None] * size
     heavy: list[tuple[str, int]] = []
-    max_qos = 0
-    for v, kind, up, bw in zip(range(root), kinds, inst.parent_index, inst.bws):
+    for v, kind, up in zip(range(root), kinds, inst.parent_index):
         if kind == KIND_CLIENT:
             continue
         parents[v] = up
-        bws[v] = bw
         clients = client_kids[v]
         if not kids[v]:
             leaf = v  # suppressed: the node itself becomes an eligible leaf
@@ -240,7 +239,6 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
         weights[leaf] = weight
         qoses[leaf] = qos
         bundles[leaf] = clients
-        max_qos = max(max_qos, qos)
         if weight > capacity:
             heavy.append((ids[leaf], weight))
     if heavy:
@@ -253,7 +251,7 @@ def transform_to_star(inst: NetworkInstance) -> StarTree:
         order += kids[v]
 
     return StarTree(capacity, ids, parents, bws, weights, qoses, eligibles, bundles,
-                    kids, order, max_qos)
+                    kids, order, max(qoses))
 
 
 def star_to_document(star: StarTree) -> str:

@@ -26,7 +26,7 @@ it has its own walks and no code from the solver pipeline.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import StructureError
 from .instance import KIND_CLIENT, MODE_AGGREGATE, MODE_PER_BUNDLE, MODES, NetworkInstance
@@ -66,18 +66,21 @@ class FeasibilityReport:
         """child-end id -> {"total": int, "parts": [[label, flow], ...]}, both sorted.
 
         Every served client's own link carries just its own demand
-        (labelled by the client); the bundles' links come from the same
-        walk as the bandwidth check. Built on first read only: a solve's
-        self-check never reads it.
+        (labelled by the client); a bundle's merged flow crosses each link
+        from its parent, which labels it, up to its server. Built on first
+        read only: a solve's self-check never reads it.
         """
         inst = self.instance
-        ids, ws = inst.ids, inst.ws
+        ids, ws, ups = inst.ids, inst.ws, inst.parent_index
         parts: dict[str, list[tuple[str, int]]] = {}
         for c, server in enumerate(self.servers):
             if server is not None and server >= 0:
                 parts[ids[c]] = [(ids[c], ws[c])]
-        for child_end, parent, flow in _bundle_links(inst.parent_index, self.bundles):
-            parts.setdefault(ids[child_end], []).append((ids[parent], flow))
+        for parent, (flow, server) in self.bundles.items():
+            cur = parent
+            while cur != server:
+                parts.setdefault(ids[cur], []).append((ids[parent], flow))
+                cur = ups[cur]
         out: dict[str, dict] = {}
         for child_end in sorted(parts):
             ordered = sorted(parts[child_end])
@@ -99,20 +102,6 @@ class FeasibilityReport:
                 for v in self.violations
             ],
         }
-
-
-def _bundle_links(ups: list[int], bundles: dict[int, list[int]]) -> Iterator[tuple[int, int, int]]:
-    """``(child-end index, bundle parent index, flow)`` for every link a bundle crosses.
-
-    ``bundles`` maps a served bundle's parent index to ``[merged flow,
-    server index]``: the merged flow of the sibling clients travels
-    together from their parent up to the server.
-    """
-    for parent, (flow, server) in bundles.items():
-        cur = parent
-        while cur != server:
-            yield cur, parent, flow
-            cur = ups[cur]
 
 
 def verify_placement(
@@ -176,14 +165,17 @@ def verify_placement(
         if load > inst.capacity:
             violations.append(RuleViolation("capacity", server, load - inst.capacity))
 
+    # A bundle's merged flow crosses each link from its parent up to its server.
     # Per-bundle: the largest single flow on a link; aggregate: their sum.
     link_load = [0] * len(ids)
     aggregate = mode == MODE_AGGREGATE
-    for child_end, _parent, flow in _bundle_links(ups, bundles):
-        if aggregate:
-            link_load[child_end] += flow
-        elif flow > link_load[child_end]:
-            link_load[child_end] = flow
+    for cur, (flow, server) in bundles.items():
+        while cur != server:
+            if aggregate:
+                link_load[cur] += flow
+            elif flow > link_load[cur]:
+                link_load[cur] = flow
+            cur = ups[cur]
     for child_end, load, bw in zip(range(len(ids)), link_load, bws):
         if load and load > bw:
             violations.append(RuleViolation("bandwidth", ids[child_end], load - bw))

@@ -247,6 +247,32 @@ def test_solve_frees_the_star_tree_before_the_self_check(capsys, monkeypatch, ar
     assert alive == [False]
 
 
+@pytest.mark.parametrize("mode", ["per-bundle", "aggregate"])
+def test_solve_self_check_builds_no_assignment_or_link_flows(capsys, monkeypatch, mode):
+    """The report's views are built on first read; the self-check reads
+    only the verdict, so neither is built in a solve."""
+    reports, verify = [], cli.verify_placement
+
+    def keeping(*args, **kwargs):
+        reports.append(verify(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_placement", keeping)
+    code, _, _ = run(capsys, "solve", WORKED, "--mode", mode)
+    assert code == 0 and len(reports) == 1
+    assert "assignment" not in vars(reports[0]) and "link_flows" not in vars(reports[0])
+
+
+def test_cli_identity_finds_a_tree_identical_to_itself(capsys):
+    """A smoke test of ``tests/cli_identity.py``, which runs outside Tier-1:
+    this checkout's ``src`` against itself on the worked example."""
+    from tests import cli_identity
+
+    assert cli_identity.main([str(cli_identity.OWN_SRC), "--document", WORKED]) == 0
+    out = capsys.readouterr().out
+    assert out == "commands 14 (each on both trees), mismatches 0\n"
+
+
 def test_verify_rejects_bad_set(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"replicas": []}))

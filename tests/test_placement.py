@@ -225,6 +225,40 @@ def test_placement_reads_no_replica_free_subtree(mode):
     assert blinded > 3_000, blinded
 
 
+class _UnreadableLink:
+    """Stands in for the link of a hole, a client folded into a bundle."""
+
+    def __init__(self, node: int):
+        self.node = node
+
+    def _fail(self, *_args):
+        raise AssertionError(f"a solve stage read the link of hole {self.node}")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = __index__ = __float__ = _fail
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_BUNDLE, MODE_AGGREGATE])
+def test_solve_stages_read_no_hole_link(worked_example, shared_link, mode):
+    """A hole keeps its client's link in ``bws``. With every hole's entry
+    made unreadable, phase 1, placement and the root check give the same
+    rows, counts and replicas."""
+    holes = 0
+    fixtures = (transform_to_star(worked_example), transform_to_star(shared_link))
+    for star in itertools.chain(fixtures, _generated_stars()):
+        table = run_phase1(star, mode=mode)
+        result = place_replicas(table)
+        live = set(star.order)
+        blind = copy.copy(star)
+        blind.bws = [bw if v in live else _UnreadableLink(v) for v, bw in enumerate(star.bws)]
+        blind_table = run_phase1(blind, mode=mode)
+        assert blind_table.segments == table.segments and blind_table.m == table.m
+        blind_result = place_replicas(blind_table)
+        root_workload_check(blind_result)
+        assert blind_result.replicas == result.replicas
+        holes += len(star.bws) - len(live)
+    assert holes > 1_000, holes
+
+
 def _root_check_outcome(check, result: PlacementResult) -> str | None:
     try:
         check(result)
